@@ -21,6 +21,7 @@ from .closedform import (
 )
 from .codec import (
     from_binary,
+    image_of_word,
     map_ge_m,
     map_ge_m_inv,
     map_mod_m,
@@ -30,6 +31,7 @@ from .codec import (
     rank_word,
     to_binary,
     unrank_word,
+    word_of_image,
 )
 from .compgen import ColoredComposition, enum_colored, enum_family, enum_weighted
 from .errors import ColorCompError, DomainError, InputError, InternalError

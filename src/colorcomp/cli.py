@@ -104,11 +104,11 @@ def _cmd_list(args):
     fmt = args.format
     writer = csv.writer(sys.stdout) if fmt == "csv" else None
     if args.what == "colored":
-        forward = _MAPS[args.map_to][0] if args.map_to else None
-        with_word = args.with_word or forward is not None
+        kind = args.map_to
+        with_word = args.with_word or kind is not None
         for alpha in compgen.enum_colored(args.nu, args.d, args.k):
             word = codec.to_binary(alpha) if with_word else None
-            image = forward(alpha) if forward else None
+            image = codec.image_of_word(kind, word, args.d) if kind else None
             _emit_colored_row(alpha, word, image, fmt, writer)
     else:  # family
         family = Family(args.kind, args.m)
@@ -226,10 +226,20 @@ _HANDLERS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
     except ColorCompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed the pipe (``colorcomp list ... | head``): stop
+        # quietly.  Pointing stdout at /dev/null keeps the interpreter's final
+        # flush of the rows still buffered from failing a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

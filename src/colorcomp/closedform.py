@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, as_int
 
 __all__ = [
     "Family",
@@ -26,7 +26,8 @@ __all__ = [
     "count_family",
 ]
 
-_KINDS = ("ones", "mod", "ge")
+# The family kinds, in the order every listing and check uses.
+KINDS = ("ones", "mod", "ge")
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Family:
     m: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}")
         if self.m < 2:
             raise DomainError(f"family parameter m must be >= 2, got {self.m}")
@@ -80,6 +81,7 @@ def num_colors(size, d):
 
 def count_pd_k(nu, d, k):
     """Polytopic-color compositions of nu with exactly k parts: C(nu+dk-1, nu-k)."""
+    nu, d, k = as_int(nu, "nu"), as_int(d, "d"), as_int(k, "k")
     if nu < 1 or d < 1 or k < 1:
         raise DomainError(f"need nu, d, k >= 1, got {nu}, {d}, {k}")
     if k > nu:
@@ -89,6 +91,7 @@ def count_pd_k(nu, d, k):
 
 def count_pd(nu, d):
     """Total number of polytopic-color compositions of nu."""
+    nu, d = as_int(nu, "nu"), as_int(d, "d")
     if nu < 1 or d < 1:
         raise DomainError(f"need nu >= 1 and d >= 1, got {nu}, {d}")
     return sum(count_pd_k(nu, d, k) for k in range(1, nu + 1))

@@ -9,8 +9,9 @@ has ones at the unique positions c_d > ... > c_1 >= 0 with
     m - 1 = C(c_d, d) + ... + C(c_1, 1).
 
 On top of that sit the colored-composition <-> binary-word codec and the
-three maps onto restricted composition families, each with an exact
-inverse.
+three maps onto restricted composition families.  Each family map is a
+word-level pair, ``image_of_word``/``word_of_image``, composed with the
+codec; both sides are driven by one per-kind table.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from __future__ import annotations
 from math import comb
 
 from .compgen import ColoredComposition
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalError, as_int
 
 __all__ = [
     "unrank_word",
     "rank_word",
     "to_binary",
     "from_binary",
+    "image_of_word",
+    "word_of_image",
     "map_ones_m",
     "map_ones_m_inv",
     "map_mod_m",
@@ -34,6 +37,13 @@ __all__ = [
 ]
 
 
+def _check_d(d):
+    d = as_int(d, "d")
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+    return d
+
+
 def unrank_word(m, n, d):
     """The m-th (1-based) binary word of length n with exactly d ones.
 
@@ -41,46 +51,59 @@ def unrank_word(m, n, d):
     c_j with C(c_j, j) <= remainder.  Requires 1 <= m <= C(n, d) and
     d <= n.
     """
+    m, n, d = as_int(m, "m"), as_int(n, "n"), as_int(d, "d")
     if d < 1 or n < 1 or d > n:
         raise DomainError(f"need 1 <= d <= n, got d={d}, n={n}")
     total = comb(n, d)
     if not 1 <= m <= total:
         raise DomainError(f"rank {m} out of range 1..{total} for n={n}, d={d}")
-    remainder = m - 1
-    bits = ["0"] * n
-    cur = n - 1
-    for j in range(d, 0, -1):
-        while comb(cur, j) > remainder:
-            cur -= 1
-        remainder -= comb(cur, j)
-        bits[n - 1 - cur] = "1"  # position cur, counted from the right
-        cur -= 1
+    return _unrank(m - 1, n, d)
+
+
+def _unrank(remainder, n, d):
+    """The word of unrank_word(remainder + 1, n, d), for arguments already checked.
+
+    Scans positions p = n-1 down to 0 keeping b = C(p, j), where j is the
+    number of ones still to place.  Moving to p - 1 updates b by one exact
+    step, C(p-1, j) = C(p, j)(p-j)/p after a zero and C(p-1, j-1) =
+    C(p, j)j/p after a one, instead of a fresh binomial per step.  Each
+    division is checked by multiplying back; this costs less than a
+    ``divmod`` call on the short words that dominate enumeration.
+    """
+    bits = []
+    j = d
+    b = comb(n - 1, d)
+    for p in range(n - 1, -1, -1):
+        if b > remainder:
+            bits.append("0")
+            numerator = b * (p - j)
+        else:
+            remainder -= b
+            if j == 1:
+                bits.append("1" + "0" * p)
+                break
+            bits.append("1")
+            numerator = b * j
+            j -= 1
+        b = numerator // p
+        if b * p != numerator:
+            raise InternalError(f"inexact binomial update at p={p}, j={j}")
     return "".join(bits)
-
-
-def _one_positions(word):
-    """Zero-based right-to-left positions of the ones, ascending."""
-    positions = []
-    n = len(word)
-    for i, ch in enumerate(word):
-        if ch == "1":
-            positions.append(n - 1 - i)
-        elif ch != "0":
-            raise InputError(f"binary word may contain only 0/1, got {word!r}")
-    positions.reverse()
-    return positions
 
 
 def rank_word(word, d):
     """1-based colex rank of a binary word with exactly d ones; inverts unrank_word."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    positions = _one_positions(word)
-    if len(positions) != d:
-        raise InputError(
-            f"word {word!r} has {len(positions)} ones, expected {d}"
-        )
-    return 1 + sum(comb(p, j) for j, p in enumerate(positions, start=1))
+    d = _check_d(d)
+    rank, ones = 1, 0
+    for p, ch in enumerate(reversed(word)):
+        if ch == "1":
+            ones += 1
+            rank += comb(p, ones)
+        elif ch != "0":
+            raise InputError(f"binary word may contain only 0/1, got {word!r}")
+    if ones != d:
+        raise InputError(f"word {word!r} has {ones} ones, expected {d}")
+    return rank
 
 
 def to_binary(alpha):
@@ -91,7 +114,7 @@ def to_binary(alpha):
     The result has length nu + d*k - 1 and exactly (d+1)*k - 1 ones.
     """
     d = alpha.d
-    return "1".join(unrank_word(c, s + d - 1, d) for s, c in alpha.parts)
+    return "1".join([_unrank(c - 1, s + d - 1, d) for s, c in alpha.parts])
 
 
 def from_binary(beta, d):
@@ -99,101 +122,149 @@ def from_binary(beta, d):
 
     Segmentation cuts strictly before every (d+1)-th remaining one, so
     each segment carries exactly d ones and trailing zeros stay attached
-    to their part.
+    to their part.  One right-to-left pass validates the characters, cuts
+    the segments and ranks each one: a one that arrives when the current
+    segment already holds d ones is a separator.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    n = len(beta)
-    one_indices = [i for i, ch in enumerate(beta) if ch == "1"]
-    if any(ch not in "01" for ch in beta):
-        raise InputError(f"binary word may contain only 0/1, got {beta!r}")
-    ones = len(one_indices)
-    if (ones + 1) % (d + 1) != 0:
-        raise InputError(
-            f"word with {ones} ones cannot split into segments of {d} ones"
-        )
-    k = (ones + 1) // (d + 1)
+    d = _check_d(d)
     parts = []
-    start = 0
-    for i in range(k):
-        if i < k - 1:
-            sep = one_indices[d + i * (d + 1)]
-            segment = beta[start:sep]
-            start = sep + 1
-        else:
-            segment = beta[start:]
-        if len(segment) < d:
-            raise InputError(f"segment {i + 1} of {beta!r} too short for d={d}")
-        size = len(segment) - d + 1
-        parts.append((size, rank_word(segment, d)))
-    return ColoredComposition(d, tuple(parts))
+    rank, ones, start = 1, 0, len(beta)  # the current segment is beta[i + 1:start]
+    for i in range(len(beta) - 1, -1, -1):
+        ch = beta[i]
+        if ch == "1":
+            if ones == d:
+                parts.append((start - i - d, rank))
+                rank, ones, start = 1, 0, i
+            else:
+                ones += 1
+                rank += comb(start - 1 - i, ones)
+        elif ch != "0":
+            raise InputError(f"binary word may contain only 0/1, got {beta!r}")
+    if ones != d:
+        total = len(parts) * (d + 1) + ones
+        raise InputError(
+            f"word with {total} ones cannot split into segments of {d} ones"
+        )
+    # A segment of length s + d - 1 with d ones ranks into 1..C(s + d - 1, d).
+    parts.append((start - d + 1, rank))
+    parts.reverse()
+    return ColoredComposition._trusted(d, tuple(parts))
+
+
+def _ones_image(beta, d):
+    return tuple(map({"1": 1, "0": d + 1}.__getitem__, beta))
+
+
+def _ones_word(parts, d):
+    try:
+        return "".join(map({1: "1", d + 1: "0"}.__getitem__, parts))
+    except KeyError as exc:
+        raise InputError(f"part {exc.args[0]} not in {{1, {d + 1}}}") from None
+
+
+def _mod_image(beta, d):
+    return tuple([(d + 1) * len(gap) + 1 for gap in beta.split("1")])
+
+
+def _mod_word(parts, d):
+    pieces = {}  # distinct part -> its run of zeros and the '1' after it
+    for p in set(parts):
+        run, rest = divmod(p - 1, d + 1)
+        if p < 1 or rest:
+            raise InputError(f"part {p} is not 1 modulo {d + 1}")
+        pieces[p] = "0" * run + "1"
+    return "".join(map(pieces.__getitem__, parts))[:-1]
+
+
+def _ge_image(beta, d):
+    return tuple([len(gap) + d + 1 for gap in beta.split("0")])
+
+
+def _ge_word(parts, d):
+    pieces = {}  # distinct part -> its run of ones and the '0' after it
+    for p in set(parts):
+        if p < d + 1:
+            raise InputError(f"part {p} smaller than {d + 1}")
+        pieces[p] = "1" * (p - d - 1) + "0"
+    return "".join(map(pieces.__getitem__, parts))[:-1]
+
+
+# kind -> (codeword -> image, image -> codeword).
+#   ones: every '1' becomes a part 1, every '0' a part d+1.
+#   mod:  the ones are separators; a gap of j zeros becomes a part (d+1)j + 1.
+#   ge:   the zeros are separators; a gap of j ones becomes a part j + d + 1.
+_FAMILY_CODECS = {
+    "ones": (_ones_image, _ones_word),
+    "mod": (_mod_image, _mod_word),
+    "ge": (_ge_image, _ge_word),
+}
+
+
+def _family_codec(kind):
+    try:
+        return _FAMILY_CODECS[kind]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown family kind {kind!r}") from None
+
+
+def image_of_word(kind, beta, d):
+    """The family image of the codeword beta: a tuple of part sizes.
+
+    ``kind`` is 'ones' (parts in {1, d+1}, summing to (d+1)nu - 1), 'mod'
+    (parts = 1 mod d+1, summing to (d+1)nu) or 'ge' (parts >= d+1,
+    summing to (d+1)nu + d), where beta = to_binary(alpha) for a colored
+    composition alpha of nu.
+    """
+    image = _family_codec(kind)[0]
+    d = _check_d(d)
+    ones = beta.count("1")
+    if ones + beta.count("0") != len(beta):
+        raise InputError(f"binary word may contain only 0/1, got {beta!r}")
+    if (ones + 1) % (d + 1):
+        raise InputError(f"word with {ones} ones cannot split into segments of {d} ones")
+    return image(beta, d)
+
+
+def word_of_image(kind, parts, d):
+    """The codeword whose family image is ``parts``; inverts image_of_word.
+
+    Rejects parts outside the family of ``kind`` for this d.
+    """
+    word = _family_codec(kind)[1]
+    d = _check_d(d)
+    parts = tuple(parts)
+    if not parts:
+        raise InputError("empty composition")
+    if set(map(type, parts)) != {int}:  # one C-level pass in the common all-int case
+        parts = tuple(as_int(p, "part") for p in parts)
+    return word(parts, d)
 
 
 def map_ones_m(alpha):
-    """Colored composition -> composition of (d+1)nu - 1 with parts in {1, d+1}.
-
-    Every '1' of the binary word becomes a part 1, every '0' a part d+1.
-    """
-    d = alpha.d
-    return tuple(1 if ch == "1" else d + 1 for ch in to_binary(alpha))
+    """Colored composition -> composition of (d+1)nu - 1 with parts in {1, d+1}."""
+    return image_of_word("ones", to_binary(alpha), alpha.d)
 
 
 def map_ones_m_inv(parts, d):
     """Inverse of map_ones_m; rejects parts outside {1, d+1}."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not parts:
-        raise InputError("empty composition")
-    for p in parts:
-        if p not in (1, d + 1):
-            raise InputError(f"part {p} not in {{1, {d + 1}}}")
-    beta = "".join("1" if p == 1 else "0" for p in parts)
-    return from_binary(beta, d)
+    return from_binary(word_of_image("ones", parts, d), d)
 
 
 def map_mod_m(alpha):
-    """Colored composition -> composition of (d+1)nu with parts = 1 mod (d+1).
-
-    The ones of the binary word act as separators; a gap of j zeros
-    (empty gaps included) becomes a part (d+1)j + 1.
-    """
-    d = alpha.d
-    return tuple((d + 1) * len(gap) + 1 for gap in to_binary(alpha).split("1"))
+    """Colored composition -> composition of (d+1)nu with parts = 1 mod (d+1)."""
+    return image_of_word("mod", to_binary(alpha), alpha.d)
 
 
 def map_mod_m_inv(parts, d):
     """Inverse of map_mod_m; rejects parts not congruent to 1 mod d+1."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not parts:
-        raise InputError("empty composition")
-    runs = []
-    for p in parts:
-        if p < 1 or (p - 1) % (d + 1) != 0:
-            raise InputError(f"part {p} is not 1 modulo {d + 1}")
-        runs.append((p - 1) // (d + 1))
-    return from_binary("1".join("0" * r for r in runs), d)
+    return from_binary(word_of_image("mod", parts, d), d)
 
 
 def map_ge_m(alpha):
-    """Colored composition -> composition of (d+1)nu + d with parts >= d+1.
-
-    The zeros of the binary word act as separators; a gap of j ones
-    (empty gaps included) becomes a part j + d + 1.
-    """
-    d = alpha.d
-    return tuple(len(gap) + d + 1 for gap in to_binary(alpha).split("0"))
+    """Colored composition -> composition of (d+1)nu + d with parts >= d+1."""
+    return image_of_word("ge", to_binary(alpha), alpha.d)
 
 
 def map_ge_m_inv(parts, d):
     """Inverse of map_ge_m; rejects parts smaller than d+1."""
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not parts:
-        raise InputError("empty composition")
-    runs = []
-    for p in parts:
-        if p < d + 1:
-            raise InputError(f"part {p} smaller than {d + 1}")
-        runs.append(p - d - 1)
-    return from_binary("0".join("1" * r for r in runs), d)
+    return from_binary(word_of_image("ge", parts, d), d)

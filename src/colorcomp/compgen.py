@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .closedform import num_colors
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_int
 
 __all__ = ["ColoredComposition", "enum_colored", "enum_family", "enum_weighted"]
 
@@ -28,11 +28,17 @@ class ColoredComposition:
     parts: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError(f"d must be >= 1, got {self.d}")
+        d = as_int(self.d, "d")
+        if d < 1:
+            raise DomainError(f"d must be >= 1, got {d}")
         if not self.parts:
             raise InputError("a composition needs at least one part")
-        object.__setattr__(self, "parts", tuple((int(s), int(c)) for s, c in self.parts))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(
+            self,
+            "parts",
+            tuple((as_int(s, "part size"), as_int(c, "color")) for s, c in self.parts),
+        )
         for size, color in self.parts:
             if size < 1:
                 raise InputError(f"part size must be >= 1, got {size}")
@@ -41,6 +47,19 @@ class ColoredComposition:
                 raise InputError(
                     f"color {color} out of range 1..{bound} for part size {size} (d={self.d})"
                 )
+
+    @classmethod
+    def _trusted(cls, d, parts):
+        """An instance from a tuple of int pairs already known to be valid.
+
+        Skips ``__post_init__``: only for callers whose parts are valid by
+        construction (enumeration over color ranges, decoding of ranks).
+        """
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["d"] = d
+        fields["parts"] = parts
+        return self
 
     @property
     def total(self):
@@ -82,16 +101,19 @@ def enum_colored(nu, d, k=None):
     tuples in descending lexicographic order; within fixed sizes, color
     tuples ascending with the leftmost color most significant.
     """
+    nu, d = as_int(nu, "nu"), as_int(d, "d")
     if nu < 1 or d < 1:
         raise DomainError(f"need nu >= 1 and d >= 1, got {nu}, {d}")
-    if k is not None and not 1 <= k <= nu:
-        raise DomainError(f"need 1 <= k <= nu, got k={k}, nu={nu}")
+    if k is not None:
+        k = as_int(k, "k")
+        if not 1 <= k <= nu:
+            raise DomainError(f"need 1 <= k <= nu, got k={k}, nu={nu}")
     part_counts = range(1, nu + 1) if k is None else (k,)
     for kk in part_counts:
         for sizes in _size_tuples_desc(nu, kk):
             ranges = [range(1, num_colors(s, d) + 1) for s in sizes]
             for colors in product(*ranges):
-                yield ColoredComposition(d, tuple(zip(sizes, colors)))
+                yield ColoredComposition._trusted(d, tuple(zip(sizes, colors)))
 
 
 def enum_family(family, n):
@@ -99,21 +121,35 @@ def enum_family(family, n):
 
     Yields plain tuples of part sizes.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     sizes = [s for s in range(1, n + 1) if family.admits(s)]
+    return _compositions_from(sizes, n)
 
-    def _walk(remaining):
-        for s in sizes:
-            if s > remaining:
-                break
-            if s == remaining:
-                yield (s,)
-            else:
-                for rest in _walk(remaining - s):
-                    yield (s,) + rest
 
-    return _walk(n)
+def _compositions_from(sizes, n):
+    """Compositions of n with parts in the ascending list ``sizes``, lexicographically ascending.
+
+    Depth-first over a prefix of parts held in one list: ``picks`` keeps
+    the index in ``sizes`` of each prefix part, so backtracking resumes
+    with the next larger part.
+    """
+    prefix, picks = [], []
+    remaining, i = n, 0
+    while True:
+        if i < len(sizes) and sizes[i] < remaining:
+            prefix.append(sizes[i])
+            picks.append(i)
+            remaining -= sizes[i]
+            i = 0
+            continue
+        if i < len(sizes) and sizes[i] == remaining:
+            yield (*prefix, remaining)
+        if not picks:
+            return
+        remaining += prefix.pop()
+        i = picks.pop() + 1
 
 
 def enum_weighted(w, n):

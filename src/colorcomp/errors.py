@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all colorcomp modules."""
+"""Exception hierarchy shared by all colorcomp modules, and the strict
+integer coercion every public entry point applies to its integer arguments."""
+
+from operator import index
 
 
 class ColorCompError(Exception):
@@ -18,3 +21,20 @@ class InternalError(ColorCompError, RuntimeError):
 
     Raised instead of silently truncating; indicates a bug in a formula.
     """
+
+
+def as_int(value, name):
+    """``value`` as an int, for the argument called ``name``.
+
+    Accepts ints and integer-like objects (anything with ``__index__``).
+    Rejects bools and every other type, integral floats included, with
+    InputError: nothing is truncated.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{name} must be an integer, got {value!r}")

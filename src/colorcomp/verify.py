@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import bell, closedform, codec, compgen
-from .closedform import AtLeastM, OneModM, OnesAndM
+from .closedform import KINDS, AtLeastM, OneModM, OnesAndM
 
 __all__ = [
     "CheckResult",
@@ -30,10 +30,15 @@ class CheckResult:
     cells: int
     failures: int = 0
     counterexample: tuple | None = None
+    elapsed: float = 0.0
 
     @property
     def passed(self):
         return self.failures == 0
+
+    @property
+    def cells_per_s(self):
+        return self.cells / self.elapsed if self.elapsed else 0.0
 
     def record(self, params):
         self.failures += 1
@@ -59,7 +64,10 @@ class CheckReport:
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            line = f"[{status}] {c.name} ({c.grid}; {c.cells} cells)"
+            line = (
+                f"[{status}] {c.name} ({c.grid}; {c.cells} cells; "
+                f"{c.elapsed:.2f}s, {c.cells_per_s:.0f} cells/s)"
+            )
             if not c.passed:
                 line += f" -- {c.failures} failures, first at {c.counterexample}"
             lines.append(line)
@@ -88,9 +96,25 @@ class CheckReport:
                     }
                     for c in self.checks
                 ],
+                "timings": [
+                    {"name": c.name, "elapsed": c.elapsed, "cells_per_s": c.cells_per_s}
+                    for c in self.checks
+                ],
             },
             indent=2,
         )
+
+
+class _Clock:
+    """Charges the wall time since its previous lap to one check."""
+
+    def __init__(self):
+        self.last = time.perf_counter()
+
+    def lap(self, check):
+        now = time.perf_counter()
+        check.elapsed += now - self.last
+        self.last = now
 
 
 def _timed(fn):
@@ -115,6 +139,7 @@ def check_counts(nu_max, d_max):
     fourway = CheckResult("four-way count identity", grid, 0)
     prop_bell = CheckResult("Bell recurrence vs closed form (per k)", grid, 0)
     enum_eq = CheckResult("closed forms vs enumeration size", grid, 0)
+    clock = _Clock()
     for d in range(1, d_max + 1):
         m = d + 1
         w = bell.WeightSeq.polytopic(d, nu_max)
@@ -128,10 +153,12 @@ def check_counts(nu_max, d_max):
                 == closedform.count_family(AtLeastM(m), m * nu + d)
             ):
                 fourway.record((nu, d))
+            clock.lap(fourway)
             for k in range(1, nu + 1):
                 prop_bell.cells += 1
                 if bell.weighted_count_k(w, nu, k) != closedform.count_pd_k(nu, d, k):
                     prop_bell.record((nu, d, k))
+            clock.lap(prop_bell)
             enum_eq.cells += 1
             counts = (
                 p == sum(1 for _ in compgen.enum_colored(nu, d))
@@ -144,6 +171,7 @@ def check_counts(nu_max, d_max):
             )
             if not counts:
                 enum_eq.record((nu, d))
+            clock.lap(enum_eq)
     return CheckReport([fourway, prop_bell, enum_eq])
 
 
@@ -153,32 +181,22 @@ def check_phi(n_max, d_max):
     grid = f"n<={n_max}, d<={min(n_max, d_max)}"
     bijective = CheckResult("rank/unrank round trip and distinctness", grid, 0)
     ordered = CheckResult("rank order matches binary value order", grid, 0)
+    clock = _Clock()
     for n in range(1, n_max + 1):
         for d in range(1, min(n, d_max) + 1):
-            seen = set()
-            prev_value = -1
-            ok_round, ok_order = True, True
-            for m in range(1, comb(n, d) + 1):
-                word = codec.unrank_word(m, n, d)
-                if (
-                    len(word) != n
-                    or word.count("1") != d
-                    or word in seen
-                    or codec.rank_word(word, d) != m
-                ):
-                    ok_round = False
-                    break
-                seen.add(word)
-                value = int(word, 2)
-                if value <= prev_value:
-                    ok_order = False
-                prev_value = value
+            words = [codec.unrank_word(m, n, d) for m in range(1, comb(n, d) + 1)]
             bijective.cells += 1
-            if not ok_round:
+            if len(set(words)) != len(words) or any(
+                len(word) != n or word.count("1") != d or codec.rank_word(word, d) != m
+                for m, word in enumerate(words, start=1)
+            ):
                 bijective.record((n, d))
+            clock.lap(bijective)
             ordered.cells += 1
-            if not ok_order:
+            values = [int(word, 2) for word in words]
+            if any(a >= b for a, b in zip(values, values[1:])):
                 ordered.record((n, d))
+            clock.lap(ordered)
     return CheckReport([bijective, ordered])
 
 
@@ -190,57 +208,57 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     default nu_max + d_max), the binary-word codec round trip with exact
     image characterization per part count, and image-set equality of the
     three family maps against direct enumeration.
+
+    Each grid point is enumerated once, part count by part count, and each
+    row is encoded once: the three family images come from that word.  A
+    family inverse is ``from_binary`` after ``word_of_image``, so checking
+    ``word_of_image(image) == beta`` next to ``from_binary(beta) == alpha``
+    checks every inverse map.
     """
     phi = check_phi(phi_n_max or nu_max + d_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
     codec_check = CheckResult("binary codec round trip and image", grid, 0)
     images = CheckResult("family map images equal enumerations", grid, 0)
+    clock = _Clock()
     for d in range(1, d_max + 1):
         m = d + 1
         for nu in range(1, nu_max + 1):
+            images.cells += 1
+            seen = {kind: set() for kind in KINDS}
+            images_ok = True
             for k in range(1, nu + 1):
                 codec_check.cells += 1
+                length, ones = nu + d * k - 1, m * k - 1
                 words = set()
                 ok = True
                 for alpha in compgen.enum_colored(nu, d, k):
                     beta = codec.to_binary(alpha)
-                    if (
-                        len(beta) != nu + d * k - 1
-                        or beta.count("1") != m * k - 1
-                        or codec.from_binary(beta, d) != alpha
-                    ):
+                    decoded = codec.from_binary(beta, d) == alpha
+                    if not decoded or len(beta) != length or beta.count("1") != ones:
                         ok = False
-                        break
                     words.add(beta)
+                    clock.lap(codec_check)
+                    images_ok = images_ok and decoded
+                    for kind, kind_seen in seen.items():
+                        image = codec.image_of_word(kind, beta, d)
+                        if codec.word_of_image(kind, image, d) != beta:
+                            images_ok = False
+                        kind_seen.add(image)
+                    clock.lap(images)
                 if ok and len(words) != closedform.count_pd_k(nu, d, k):
                     ok = False
                 if not ok:
                     codec_check.record((nu, d, k))
-            images.cells += 1
-            img_ones, img_mod, img_ge = set(), set(), set()
-            ok = True
-            for alpha in compgen.enum_colored(nu, d):
-                a = codec.map_ones_m(alpha)
-                b = codec.map_mod_m(alpha)
-                c = codec.map_ge_m(alpha)
-                if (
-                    codec.map_ones_m_inv(a, d) != alpha
-                    or codec.map_mod_m_inv(b, d) != alpha
-                    or codec.map_ge_m_inv(c, d) != alpha
-                ):
-                    ok = False
-                    break
-                img_ones.add(a)
-                img_mod.add(b)
-                img_ge.add(c)
-            if ok:
-                ok = (
-                    img_ones == set(compgen.enum_family(OnesAndM(m), m * nu - 1))
-                    and img_mod == set(compgen.enum_family(OneModM(m), m * nu))
-                    and img_ge == set(compgen.enum_family(AtLeastM(m), m * nu + d))
+                clock.lap(codec_check)
+            if images_ok:
+                images_ok = (
+                    seen["ones"] == set(compgen.enum_family(OnesAndM(m), m * nu - 1))
+                    and seen["mod"] == set(compgen.enum_family(OneModM(m), m * nu))
+                    and seen["ge"] == set(compgen.enum_family(AtLeastM(m), m * nu + d))
                 )
-            if not ok:
+            if not images_ok:
                 images.record((nu, d))
+            clock.lap(images)
     return phi.merge(CheckReport([codec_check, images]))
 
 
@@ -271,20 +289,17 @@ def golden_tables():
     """Regenerate the 13-row nu=3, d=2 correspondence and diff it against
     the embedded golden data, binary-word column included."""
     result = CheckResult("golden 13-row correspondence (nu=3, d=2)", "nu=3, d=2", 0)
-    generated = [
-        (
-            str(alpha),
-            codec.to_binary(alpha),
-            codec.map_ones_m(alpha),
-            codec.map_mod_m(alpha),
-            codec.map_ge_m(alpha),
-        )
-        for alpha in compgen.enum_colored(3, 2)
-    ]
+    clock = _Clock()
+    generated = []
+    for alpha in compgen.enum_colored(3, 2):
+        beta = codec.to_binary(alpha)
+        images = tuple(codec.image_of_word(kind, beta, 2) for kind in KINDS)
+        generated.append((str(alpha), beta, *images))
     result.cells = max(len(generated), len(GOLDEN_NU3_D2))
     for i in range(result.cells):
         got = generated[i] if i < len(generated) else None
         want = GOLDEN_NU3_D2[i] if i < len(GOLDEN_NU3_D2) else None
         if got != want:
             result.record((i + 1, want, got))
+    clock.lap(result)
     return CheckReport([result])

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import colorcomp
 from colorcomp.cli import main
 
 
@@ -161,3 +166,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["count", "pd", "--nu", "3"])
         assert excinfo.value.code == 2
+
+
+def test_closed_pipe_exits_quietly():
+    """``colorcomp list colored --nu 10 --d 3 | head -1``: no traceback, exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(colorcomp.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "colorcomp.cli", "list", "colored", "--nu", "10", "--d", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"10^1\n"
+    proc.stdout.close()  # the reader goes away while rows are still being written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and b"Error" not in err

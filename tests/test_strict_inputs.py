@@ -1,0 +1,69 @@
+"""Integer arguments at the API boundary: bools and non-integers are
+rejected with a package error, never truncated or let through as a bare
+TypeError."""
+
+import pytest
+
+from colorcomp import (
+    ColoredComposition,
+    ColorCompError,
+    count_pd,
+    count_pd_k,
+    from_binary,
+    map_ge_m_inv,
+    map_mod_m_inv,
+    map_ones_m_inv,
+    rank_word,
+    unrank_word,
+    word_of_image,
+)
+from colorcomp.errors import InputError, as_int
+
+
+class Index:
+    """An integer-like object that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+REJECTED = [
+    ("fractional size", lambda: ColoredComposition(2, ((1.7, 1),))),
+    ("float color", lambda: ColoredComposition(2, ((1, 1.0),))),
+    ("bool d", lambda: ColoredComposition(True, ((1, 1),))),
+    ("bool nu", lambda: count_pd(True, 2)),
+    ("float nu", lambda: count_pd(3.0, 2)),
+    ("float k", lambda: count_pd_k(3, 2, 1.5)),
+    ("float d in rank", lambda: rank_word("0011", 2.0)),
+    ("float d in unrank", lambda: unrank_word(1, 3, 2.5)),
+    ("float m in unrank", lambda: unrank_word(1.0, 3, 2)),
+    ("float d in decode", lambda: from_binary("0011", 2.0)),
+    ("bool d in inverse", lambda: map_ones_m_inv((1, 1), True)),
+    ("float part", lambda: map_mod_m_inv((4.0, 1), 2)),
+    ("bool part", lambda: map_ge_m_inv((True, 3), 2)),
+    ("string part", lambda: word_of_image("ge", ("3", 3), 2)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in REJECTED], ids=[n for n, _ in REJECTED])
+def test_rejected_with_package_error(call):
+    with pytest.raises(ColorCompError):
+        call()
+
+
+def test_as_int():
+    assert as_int(5, "x") == 5
+    assert as_int(Index(7), "x") == 7
+    for bad in (True, 2.0, 2.5, "2", None):
+        with pytest.raises(InputError, match="x must be an integer"):
+            as_int(bad, "x")
+
+
+def test_integer_like_values_are_accepted():
+    assert count_pd(Index(3), Index(2)) == 13
+    assert unrank_word(Index(2), 3, 2) == "101"
+    assert ColoredComposition(Index(2), ((Index(3), Index(2)),)).parts == ((3, 2),)
+    assert map_ge_m_inv((Index(3), 3, 5), 2) == ColoredComposition.parse("3^1", 2)

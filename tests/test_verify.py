@@ -2,8 +2,21 @@
 
 import json
 
-from colorcomp import check_bijections, check_counts, check_phi, golden_tables
+from colorcomp import check_bijections, check_counts, check_phi, cli, codec, count_pd, golden_tables
 from colorcomp.verify import CheckReport, CheckResult
+
+
+def count_encodes(monkeypatch):
+    """Wrap codec.to_binary with a call counter; returns the counter."""
+    calls = [0]
+    encode = codec.to_binary
+
+    def counted(alpha):
+        calls[0] += 1
+        return encode(alpha)
+
+    monkeypatch.setattr(codec, "to_binary", counted)
+    return calls
 
 
 class TestCheckCounts:
@@ -28,6 +41,12 @@ class TestCheckBijections:
 
     def test_medium_grid(self):
         assert check_bijections(7, 3).ok
+
+    def test_encodes_each_row_once(self, monkeypatch):
+        calls = count_encodes(monkeypatch)
+        assert check_bijections(5, 3).ok
+        rows = sum(count_pd(nu, d) for nu in range(1, 6) for d in range(1, 4))
+        assert calls[0] == rows
 
     def test_phi_alone(self):
         report = check_phi(10, 4)
@@ -68,7 +87,30 @@ class TestReport:
         assert data["ok"] is False
         assert data["checks"][1]["counterexample"] == [1]
 
+    def test_per_check_timing(self):
+        report = check_counts(3, 2).merge(check_bijections(3, 2))
+        assert all(c.elapsed > 0 and c.cells_per_s > 0 for c in report.checks)
+        assert sum(c.elapsed for c in report.checks) <= report.elapsed
+        assert report.to_text().count("cells/s") == len(report.checks)
+        data = json.loads(report.to_json())
+        assert [t["name"] for t in data["timings"]] == [c["name"] for c in data["checks"]]
+        assert all(t["elapsed"] > 0 and t["cells_per_s"] > 0 for t in data["timings"])
+        assert set(data) == {"ok", "elapsed", "checks", "timings"}
+        assert set(data["checks"][0]) == {
+            "name", "grid", "cells", "passed", "failures", "counterexample",
+        }
+
+    def test_zero_time_has_zero_rate(self):
+        assert CheckResult("demo", "n<=1", cells=3).cells_per_s == 0.0
+
     def test_merge(self):
         merged = golden_tables().merge(check_counts(2, 2))
         assert len(merged.checks) == 4
         assert merged.ok
+
+
+def test_list_with_map_encodes_each_row_once(monkeypatch, capsys):
+    calls = count_encodes(monkeypatch)
+    assert cli.main(["list", "colored", "--nu", "5", "--d", "2", "--map-to", "ge"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert calls[0] == len(rows) == count_pd(5, 2)
