@@ -1,13 +1,14 @@
-"""Partial Bell polynomials, the invert transform, and weighted composition counts.
+"""Weighted composition counts, partial Bell polynomials, and the invert transform.
 
-Three independent routes to the same numbers live here:
+``weighted_count`` / ``weighted_count_k`` / ``invert_transform`` count by
+convolution over the weight sequence (the primary, factorial-free path).
+Two independent routes stay as the oracles that ``verify`` and the tests
+compare it against:
 
-* ``weighted_count_k`` / ``weighted_count`` -- via the Bell-polynomial
-  recurrence (the primary, polynomial-time path),
-* ``invert_transform`` -- via the convolution recurrence on the weight
-  sequence's generating function,
-* ``hoggatt_lind_count`` -- via direct summation over k-part partitions
-  (exponential, kept as an oracle).
+* ``partial_bell_table`` -- the paper's identity
+  P_k(n) = (k!/n!) * B_{n,k}(1! w_1, 2! w_2, ...),
+* ``hoggatt_lind_count`` -- direct summation over k-part partitions
+  (exponential).
 
 All arithmetic is exact big-integer; every division in a recurrence is
 checked for zero remainder and raises :class:`InternalError` otherwise.
@@ -16,8 +17,9 @@ checked for zero remainder and raises :class:`InternalError` otherwise.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import mul
 
-from .errors import DomainError, InputError, InternalError
+from .errors import DomainError, InputError, InternalError, as_int
 
 __all__ = [
     "WeightSeq",
@@ -42,7 +44,7 @@ class WeightSeq:
     __slots__ = ("_weights",)
 
     def __init__(self, weights):
-        ws = tuple(int(w) for w in weights)
+        ws = tuple(as_int(w, "weight") for w in weights)
         if len(ws) < 1:
             raise InputError("weight sequence must have at least one entry")
         if any(w < 0 for w in ws):
@@ -52,17 +54,12 @@ class WeightSeq:
     @classmethod
     def ones(cls, n):
         """All-ones prefix of length n: every part size, one color."""
-        return cls((1,) * n)
-
-    @classmethod
-    def indicator(cls, sizes, n):
-        """Prefix of length n with w_j = 1 for j in ``sizes``, else 0."""
-        allowed = set(sizes)
-        return cls(tuple(1 if j in allowed else 0 for j in range(1, n + 1)))
+        return cls((1,) * as_int(n, "n"))
 
     @classmethod
     def polytopic(cls, d, n):
         """Prefix of length n of the simplicial d-polytopic colors C(j+d-1, d)."""
+        d, n = as_int(d, "d"), as_int(n, "n")
         if d < 1:
             raise DomainError(f"d must be >= 1, got {d}")
         return cls(tuple(comb(j + d - 1, d) for j in range(1, n + 1)))
@@ -107,6 +104,7 @@ def partial_bell_table(n, x):
 
     Missing (a, b) keys are zero.
     """
+    n = as_int(n, "n")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     table = {(0, 0): 1}
@@ -129,6 +127,7 @@ def partial_bell(n, k, x):
     ``x`` is a sequence with ``x[0]`` = x_1; at least n - k + 1 entries
     are required.  Requires 1 <= k <= n.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"partial_bell requires 1 <= k <= n, got n={n}, k={k}")
     if len(x) < n - k + 1:
@@ -146,36 +145,38 @@ def _require_prefix(w, n):
 def weighted_count_k(w, n, k):
     """Number of w-color compositions of n with exactly k parts.
 
-    Equals (k!/n!) * B_{n,k}(1! w_1, 2! w_2, ...).
+    C_k(n) of the convolution C_i(j) = sum_s w_s * C_{i-1}(j - s), C_0(0) = 1.
+    Row i keeps only the cells i <= j <= n - k + i that can still reach n,
+    stored at offset j - i.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     _require_prefix(w, n)
-    x = [factorial(j) * w[j] for j in range(1, n - k + 2)]
-    value = factorial(k) * partial_bell(n, k, x)
-    return _exact_div(value, factorial(n), f"weighted_count_k({n},{k})")
+    width = n - k + 1
+    ws = [w[s] for s in range(1, width + 1)]  # ws[t] = w_{t+1}
+    row = ws  # C_1(j) = w_j
+    for _ in range(k - 1):
+        # Offset t sums w_{t+1-u} * row[u] over u <= t; map stops at the shorter slice.
+        row = [sum(map(mul, ws[t::-1], row)) for t in range(width)]
+    return row[-1]
 
 
 def weighted_count(w, n):
     """Total number of w-color compositions of n (all part counts)."""
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    _require_prefix(w, n)
-    x = [factorial(j) * w[j] for j in range(1, n + 1)]
-    table = partial_bell_table(n, x)
-    total = 0
-    for k in range(1, n + 1):
-        value = factorial(k) * table[(n, k)]
-        total += _exact_div(value, factorial(n), f"weighted_count({n}) at k={k}")
-    return total
+    return invert_transform(w, n)[-1]
 
 
 def invert_transform(w, n_max):
     """First n_max terms (W_1, ..., W_{n_max}) of the invert transform of w.
 
     Uses the convolution recurrence W_n = w_n + sum_i w_i * W_{n-i},
-    an independent route to the same counts as :func:`weighted_count`.
+    the route :func:`weighted_count` takes.
     """
+    n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     _require_prefix(w, n_max)
@@ -206,6 +207,7 @@ def hoggatt_lind_count(w, n, k):
     partitions of n.  Exponential in n; serves as an oracle for
     :func:`weighted_count_k`.
     """
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     _require_prefix(w, n)

@@ -45,6 +45,7 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "m", as_int(self.m, "m"))
         if self.m < 2:
             raise DomainError(f"family parameter m must be >= 2, got {self.m}")
 
@@ -99,6 +100,7 @@ def count_pd(nu, d):
 
 def count_family(family, n):
     """Size of the restricted family at n, by its closed-form sum."""
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     m = family.m

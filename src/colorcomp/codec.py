@@ -44,6 +44,11 @@ def _check_d(d):
     return d
 
 
+def _check_word(word):
+    if not isinstance(word, str):
+        raise InputError(f"binary word must be a str, got {word!r}")
+
+
 def unrank_word(m, n, d):
     """The m-th (1-based) binary word of length n with exactly d ones.
 
@@ -93,6 +98,7 @@ def _unrank(remainder, n, d):
 
 def rank_word(word, d):
     """1-based colex rank of a binary word with exactly d ones; inverts unrank_word."""
+    _check_word(word)
     d = _check_d(d)
     rank, ones = 1, 0
     for p, ch in enumerate(reversed(word)):
@@ -126,6 +132,7 @@ def from_binary(beta, d):
     the segments and ranks each one: a one that arrives when the current
     segment already holds d ones is a separator.
     """
+    _check_word(beta)
     d = _check_d(d)
     parts = []
     rank, ones, start = 1, 0, len(beta)  # the current segment is beta[i + 1:start]
@@ -216,6 +223,7 @@ def image_of_word(kind, beta, d):
     composition alpha of nu.
     """
     image = _family_codec(kind)[0]
+    _check_word(beta)
     d = _check_d(d)
     ones = beta.count("1")
     if ones + beta.count("0") != len(beta):
@@ -232,7 +240,10 @@ def word_of_image(kind, parts, d):
     """
     word = _family_codec(kind)[1]
     d = _check_d(d)
-    parts = tuple(parts)
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise InputError(f"parts must be a sequence of ints, got {parts!r}") from None
     if not parts:
         raise InputError("empty composition")
     if set(map(type, parts)) != {int}:  # one C-level pass in the common all-int case

@@ -34,11 +34,11 @@ class ColoredComposition:
         if not self.parts:
             raise InputError("a composition needs at least one part")
         object.__setattr__(self, "d", d)
-        object.__setattr__(
-            self,
-            "parts",
-            tuple((as_int(s, "part size"), as_int(c, "color")) for s, c in self.parts),
-        )
+        try:
+            parts = tuple(map(_int_pair, self.parts))
+        except TypeError:
+            raise InputError(f"parts must be a sequence of pairs, got {self.parts!r}") from None
+        object.__setattr__(self, "parts", parts)
         for size, color in self.parts:
             if size < 1:
                 raise InputError(f"part size must be >= 1, got {size}")
@@ -82,6 +82,15 @@ class ColoredComposition:
             except ValueError:
                 raise InputError(f"bad part token {token!r}") from None
         return cls(d, tuple(parts))
+
+
+def _int_pair(part):
+    """A part given as a (size, color) pair, as a pair of ints."""
+    try:
+        size, color = part
+    except (TypeError, ValueError):
+        raise InputError(f"part {part!r} is not a (size, color) pair") from None
+    return as_int(size, "part size"), as_int(color, "color")
 
 
 def _size_tuples_desc(n, k):
@@ -159,6 +168,7 @@ def enum_weighted(w, n):
     zero never appear.  Order: first part ascending by (size, color),
     then recursively.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n > len(w):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
 from .closedform import KINDS, AtLeastM, OneModM, OnesAndM
@@ -127,6 +127,12 @@ def _timed(fn):
     return wrapper
 
 
+def _families(nu, d):
+    """(family, size) of the three images of a colored composition of nu, in KINDS order."""
+    m = d + 1
+    return ((OnesAndM(m), m * nu - 1), (OneModM(m), m * nu), (AtLeastM(m), m * nu + d))
+
+
 @_timed
 def check_counts(nu_max, d_max):
     """Counting identities over 1 <= nu <= nu_max, 1 <= d <= d_max.
@@ -134,6 +140,8 @@ def check_counts(nu_max, d_max):
     Checks the four-way equality between the polytopic count and the
     three restricted-family counts, the Bell-vs-binomial identity per
     part count, and closed-form counts against enumeration sizes.
+    Per d, one ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
+    k! * B_{nu,k}, compared with nu! times each count: no division.
     """
     grid = f"nu<={nu_max}, d<={d_max}"
     fourway = CheckResult("four-way count identity", grid, 0)
@@ -141,35 +149,31 @@ def check_counts(nu_max, d_max):
     enum_eq = CheckResult("closed forms vs enumeration size", grid, 0)
     clock = _Clock()
     for d in range(1, d_max + 1):
-        m = d + 1
         w = bell.WeightSeq.polytopic(d, nu_max)
+        x = [factorial(j) * closedform.num_colors(j, d) for j in range(1, nu_max + 1)]
+        table = bell.partial_bell_table(nu_max, x)
+        clock.lap(prop_bell)
         for nu in range(1, nu_max + 1):
+            families = _families(nu, d)
             p = closedform.count_pd(nu, d)
             fourway.cells += 1
-            if not (
-                p
-                == closedform.count_family(OnesAndM(m), m * nu - 1)
-                == closedform.count_family(OneModM(m), m * nu)
-                == closedform.count_family(AtLeastM(m), m * nu + d)
-            ):
+            if not all(closedform.count_family(f, n) == p for f, n in families):
                 fourway.record((nu, d))
             clock.lap(fourway)
             for k in range(1, nu + 1):
                 prop_bell.cells += 1
-                if bell.weighted_count_k(w, nu, k) != closedform.count_pd_k(nu, d, k):
+                counts = (closedform.count_pd_k(nu, d, k), bell.weighted_count_k(w, nu, k))
+                if any(factorial(k) * table[(nu, k)] != factorial(nu) * c for c in counts):
                     prop_bell.record((nu, d, k))
             clock.lap(prop_bell)
             enum_eq.cells += 1
-            counts = (
+            if not (
                 p == sum(1 for _ in compgen.enum_colored(nu, d))
-                and closedform.count_family(OnesAndM(m), m * nu - 1)
-                == sum(1 for _ in compgen.enum_family(OnesAndM(m), m * nu - 1))
-                and closedform.count_family(OneModM(m), m * nu)
-                == sum(1 for _ in compgen.enum_family(OneModM(m), m * nu))
-                and closedform.count_family(AtLeastM(m), m * nu + d)
-                == sum(1 for _ in compgen.enum_family(AtLeastM(m), m * nu + d))
-            )
-            if not counts:
+                and all(
+                    closedform.count_family(f, n) == sum(1 for _ in compgen.enum_family(f, n))
+                    for f, n in families
+                )
+            ):
                 enum_eq.record((nu, d))
             clock.lap(enum_eq)
     return CheckReport([fourway, prop_bell, enum_eq])
@@ -221,14 +225,13 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     images = CheckResult("family map images equal enumerations", grid, 0)
     clock = _Clock()
     for d in range(1, d_max + 1):
-        m = d + 1
         for nu in range(1, nu_max + 1):
             images.cells += 1
             seen = {kind: set() for kind in KINDS}
             images_ok = True
             for k in range(1, nu + 1):
                 codec_check.cells += 1
-                length, ones = nu + d * k - 1, m * k - 1
+                length, ones = nu + d * k - 1, (d + 1) * k - 1
                 words = set()
                 ok = True
                 for alpha in compgen.enum_colored(nu, d, k):
@@ -251,10 +254,8 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
                     codec_check.record((nu, d, k))
                 clock.lap(codec_check)
             if images_ok:
-                images_ok = (
-                    seen["ones"] == set(compgen.enum_family(OnesAndM(m), m * nu - 1))
-                    and seen["mod"] == set(compgen.enum_family(OneModM(m), m * nu))
-                    and seen["ge"] == set(compgen.enum_family(AtLeastM(m), m * nu + d))
+                images_ok = all(
+                    seen[f.kind] == set(compgen.enum_family(f, n)) for f, n in _families(nu, d)
                 )
             if not images_ok:
                 images.record((nu, d))

@@ -1,20 +1,24 @@
-"""Differential tests: every fast path of the codec and the enumerators
-against a straightforward oracle kept here.
+"""Differential tests: every fast path of the codec, the enumerators and
+the weighted counts against a straightforward oracle.
 
-The oracles are the original implementations: a fresh binomial at every
-step of the colex scan, ranking from a list of one positions, and the
-recursive family walk.
+The codec and enumerator oracles are the original implementations, kept
+here: a fresh binomial at every step of the colex scan, ranking from a
+list of one positions, and the recursive family walk.  The weighted
+counts are checked against the package's own oracles, the partial Bell
+table of the paper's identity and the partition sum.
 """
 
-from math import comb
+from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
 from colorcomp import (
     ColoredComposition,
+    WeightSeq,
     enum_colored,
     enum_family,
     from_binary,
+    hoggatt_lind_count,
     image_of_word,
     map_ge_m,
     map_ge_m_inv,
@@ -25,8 +29,11 @@ from colorcomp import (
     rank_word,
     to_binary,
     unrank_word,
+    weighted_count,
+    weighted_count_k,
     word_of_image,
 )
+from colorcomp.bell import partial_bell_table
 from colorcomp.closedform import KINDS, Family
 
 MAPS = {
@@ -90,6 +97,16 @@ def colored(draw, d_max=8, size_max=30, k_max=10):
     return ColoredComposition(d, tuple(parts))
 
 
+@st.composite
+def weight_prefixes(draw, length_max):
+    """A polytopic weight prefix, or a random one with about 30% zero entries."""
+    length = draw(st.integers(1, length_max))
+    if draw(st.booleans()):
+        return WeightSeq.polytopic(draw(st.integers(1, 4)), length)
+    entry = st.tuples(st.integers(0, 9), st.integers(1, 4)).map(lambda t: t[1] * (t[0] >= 3))
+    return WeightSeq(draw(st.lists(entry, min_size=length, max_size=length)))
+
+
 @given(word_ranks(300))
 def test_unrank_matches_comb_scan(mnd):
     m, n, d = mnd
@@ -140,3 +157,21 @@ def test_maps_are_word_level_images(alpha, kind):
     assert forward(alpha) == image
     assert word_of_image(kind, image, alpha.d) == beta
     assert inverse(image, alpha.d) == alpha
+
+
+@settings(max_examples=60)
+@given(weight_prefixes(40), st.data())
+def test_weighted_counts_match_bell_identity(w, data):
+    n = data.draw(st.integers(1, len(w)))
+    table = partial_bell_table(n, [factorial(j) * w[j] for j in range(1, n + 1)])
+    counts = [weighted_count_k(w, n, k) for k in range(1, n + 1)]
+    for k, count in enumerate(counts, start=1):
+        assert factorial(n) * count == factorial(k) * table[(n, k)]
+    assert weighted_count(w, n) == sum(counts)
+
+
+@given(weight_prefixes(12), st.data())
+def test_weighted_count_k_matches_partition_sum(w, data):
+    n = data.draw(st.integers(1, len(w)))
+    k = data.draw(st.integers(1, n))
+    assert weighted_count_k(w, n, k) == hoggatt_lind_count(w, n, k)

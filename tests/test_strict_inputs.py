@@ -7,17 +7,28 @@ import pytest
 from colorcomp import (
     ColoredComposition,
     ColorCompError,
+    WeightSeq,
     count_pd,
     count_pd_k,
+    enum_weighted,
     from_binary,
+    hoggatt_lind_count,
+    image_of_word,
+    invert_transform,
     map_ge_m_inv,
     map_mod_m_inv,
     map_ones_m_inv,
+    partial_bell,
     rank_word,
     unrank_word,
+    weighted_count,
+    weighted_count_k,
     word_of_image,
 )
+from colorcomp.closedform import Family, count_family
 from colorcomp.errors import InputError, as_int
+
+W = WeightSeq((1, 1, 1))
 
 
 class Index:
@@ -45,6 +56,24 @@ REJECTED = [
     ("float part", lambda: map_mod_m_inv((4.0, 1), 2)),
     ("bool part", lambda: map_ge_m_inv((True, 3), 2)),
     ("string part", lambda: word_of_image("ge", ("3", 3), 2)),
+    ("float n in weighted count", lambda: weighted_count(W, 2.0)),
+    ("bool n in weighted count", lambda: weighted_count(W, True)),
+    ("float k in weighted count", lambda: weighted_count_k(W, 3, 2.0)),
+    ("float n in invert", lambda: invert_transform(W, 2.0)),
+    ("float n in partition sum", lambda: hoggatt_lind_count(W, 3.0, 2)),
+    ("float n in Bell", lambda: partial_bell(3.0, 2, [1, 1])),
+    ("bool n in enum_weighted", lambda: enum_weighted(W, True)),
+    ("fractional weight", lambda: WeightSeq((1.7, 2))),
+    ("float d in polytopic", lambda: WeightSeq.polytopic(2.0, 3)),
+    ("fractional family m", lambda: Family("ge", 2.5)),
+    ("float n in count_family", lambda: count_family(Family("ge", 2), 3.0)),
+    ("one-element part", lambda: ColoredComposition(2, ((1,),))),
+    ("int part", lambda: ColoredComposition(2, (5,))),
+    ("int parts", lambda: ColoredComposition(2, 5)),
+    ("None word in rank", lambda: rank_word(None, 2)),
+    ("None word in decode", lambda: from_binary(None, 2)),
+    ("None word in image", lambda: image_of_word("ge", None, 2)),
+    ("None image", lambda: word_of_image("ge", None, 2)),
 ]
 
 
@@ -67,3 +96,4 @@ def test_integer_like_values_are_accepted():
     assert unrank_word(Index(2), 3, 2) == "101"
     assert ColoredComposition(Index(2), ((Index(3), Index(2)),)).parts == ((3, 2),)
     assert map_ge_m_inv((Index(3), 3, 5), 2) == ColoredComposition.parse("3^1", 2)
+    assert weighted_count(WeightSeq((Index(1), 1, 1)), Index(3)) == 4

@@ -2,7 +2,16 @@
 
 import json
 
-from colorcomp import check_bijections, check_counts, check_phi, cli, codec, count_pd, golden_tables
+from colorcomp import (
+    bell,
+    check_bijections,
+    check_counts,
+    check_phi,
+    cli,
+    codec,
+    count_pd,
+    golden_tables,
+)
 from colorcomp.verify import CheckReport, CheckResult
 
 
@@ -30,6 +39,29 @@ class TestCheckCounts:
 
     def test_medium_grid(self):
         assert check_counts(8, 4).ok
+
+    def test_builds_one_bell_table_per_d(self, monkeypatch):
+        calls = [0]
+        table = bell.partial_bell_table
+
+        def counted(n, x):
+            calls[0] += 1
+            return table(n, x)
+
+        monkeypatch.setattr(bell, "partial_bell_table", counted)
+        assert check_counts(8, 4).ok
+        assert calls[0] == 4
+
+    def test_bell_check_catches_a_wrong_count(self, monkeypatch):
+        count_k = bell.weighted_count_k
+
+        def off_by_one(w, n, k):
+            return count_k(w, n, k) + (n == 5 and k == 2)
+
+        monkeypatch.setattr(bell, "weighted_count_k", off_by_one)
+        bell_check = check_counts(6, 3).checks[1]
+        assert bell_check.failures == 3
+        assert bell_check.counterexample == (5, 1, 2)
 
 
 class TestCheckBijections:
