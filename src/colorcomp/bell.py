@@ -68,6 +68,7 @@ class WeightSeq:
         return len(self._weights)
 
     def __getitem__(self, n):
+        n = as_int(n, "weight index")
         if not 1 <= n <= len(self._weights):
             raise InputError(
                 f"weight index {n} out of range 1..{len(self._weights)}"
@@ -137,7 +138,14 @@ def partial_bell(n, k, x):
     return partial_bell_table(n, x)[(n, k)]
 
 
-def _require_prefix(w, n):
+def require_prefix(w, n):
+    """Reject anything but a WeightSeq of at least n entries.
+
+    A plain sequence would be read 0-based where a WeightSeq is 1-based,
+    shifting every weight by one.
+    """
+    if not isinstance(w, WeightSeq):
+        raise InputError(f"weights must be a WeightSeq, got {w!r}")
     if n > len(w):
         raise InputError(f"weight prefix of length {len(w)} too short for n={n}")
 
@@ -152,7 +160,7 @@ def weighted_count_k(w, n, k):
     n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    _require_prefix(w, n)
+    require_prefix(w, n)
     width = n - k + 1
     ws = [w[s] for s in range(1, width + 1)]  # ws[t] = w_{t+1}
     row = ws  # C_1(j) = w_j
@@ -179,11 +187,12 @@ def invert_transform(w, n_max):
     n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    _require_prefix(w, n_max)
+    require_prefix(w, n_max)
+    ws = [w[s] for s in range(1, n_max + 1)]  # ws[i] = w_{i+1}
     result = []
-    for n in range(1, n_max + 1):
-        wn = w[n] + sum(w[i] * result[n - i - 1] for i in range(1, n))
-        result.append(wn)
+    for wn in ws:
+        # sum_i w_i * W_{n-i}: zip ws with result reversed; map stops at the shorter.
+        result.append(wn + sum(map(mul, ws, reversed(result))))
     return result
 
 
@@ -210,7 +219,7 @@ def hoggatt_lind_count(w, n, k):
     n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    _require_prefix(w, n)
+    require_prefix(w, n)
     total = 0
     for partition in _partitions_k(n, k, n):
         coeff = factorial(k)

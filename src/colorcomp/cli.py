@@ -14,14 +14,13 @@ import os
 import sys
 
 from . import bell, closedform, codec, compgen, verify
-from .closedform import Family
+from .closedform import KINDS, Family
 from .compgen import ColoredComposition
 from .errors import ColorCompError, InputError
 
+# kind -> (forward map, inverse map): the codec's map_<kind>_m and map_<kind>_m_inv.
 _MAPS = {
-    "ones": (codec.map_ones_m, codec.map_ones_m_inv),
-    "mod": (codec.map_mod_m, codec.map_mod_m_inv),
-    "ge": (codec.map_ge_m, codec.map_ge_m_inv),
+    kind: (getattr(codec, f"map_{kind}_m"), getattr(codec, f"map_{kind}_m_inv")) for kind in KINDS
 }
 
 
@@ -48,32 +47,24 @@ def _parse_composition(text):
         raise InputError(f"bad composition {text!r}, expected comma-separated ints") from None
 
 
+def _print_count(args, n, count_k, count, *fixed):
+    """Print count_k(*fixed, k) for k in 1..n (--by-parts) or at --k, else count(*fixed)."""
+    if args.by_parts:
+        print(" ".join(f"k={k}:{count_k(*fixed, k)}" for k in range(1, n + 1)))
+    elif args.k is not None:
+        print(count_k(*fixed, args.k))
+    else:
+        print(count(*fixed))
+
+
 def _cmd_count(args):
     if args.what == "pd":
-        if args.by_parts:
-            breakdown = [
-                (k, closedform.count_pd_k(args.nu, args.d, k))
-                for k in range(1, args.nu + 1)
-            ]
-            print(" ".join(f"k={k}:{c}" for k, c in breakdown))
-        elif args.k is not None:
-            print(closedform.count_pd_k(args.nu, args.d, args.k))
-        else:
-            print(closedform.count_pd(args.nu, args.d))
+        _print_count(args, args.nu, closedform.count_pd_k, closedform.count_pd, args.nu, args.d)
     elif args.what == "family":
         print(closedform.count_family(Family(args.kind, args.m), args.n))
     else:  # weighted
         w = _parse_weights(args.weights, args.n)
-        if args.by_parts:
-            breakdown = [
-                (k, bell.weighted_count_k(w, args.n, k))
-                for k in range(1, args.n + 1)
-            ]
-            print(" ".join(f"k={k}:{c}" for k, c in breakdown))
-        elif args.k is not None:
-            print(bell.weighted_count_k(w, args.n, args.k))
-        else:
-            print(bell.weighted_count(w, args.n))
+        _print_count(args, args.n, bell.weighted_count_k, bell.weighted_count, w, args.n)
     return 0
 
 
@@ -166,7 +157,7 @@ def build_parser():
     c_pd.add_argument("--k", type=int)
     c_pd.add_argument("--by-parts", action="store_true")
     c_fam = count_sub.add_parser("family", help="restricted composition families")
-    c_fam.add_argument("--kind", choices=sorted(_MAPS), required=True)
+    c_fam.add_argument("--kind", choices=sorted(KINDS), required=True)
     c_fam.add_argument("--m", type=int, required=True)
     c_fam.add_argument("--n", type=int, required=True)
     c_w = count_sub.add_parser("weighted", help="general weighted compositions")
@@ -182,10 +173,10 @@ def build_parser():
     l_col.add_argument("--d", type=int, required=True)
     l_col.add_argument("--k", type=int)
     l_col.add_argument("--with-word", action="store_true")
-    l_col.add_argument("--map-to", choices=sorted(_MAPS))
+    l_col.add_argument("--map-to", choices=sorted(KINDS))
     l_col.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     l_fam = list_sub.add_parser("family")
-    l_fam.add_argument("--kind", choices=sorted(_MAPS), required=True)
+    l_fam.add_argument("--kind", choices=sorted(KINDS), required=True)
     l_fam.add_argument("--m", type=int, required=True)
     l_fam.add_argument("--n", type=int, required=True)
     l_fam.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
@@ -200,7 +191,7 @@ def build_parser():
     p_unrank.add_argument("--d", type=int, required=True)
 
     p_map = sub.add_parser("map", help="family bijections and inverses")
-    p_map.add_argument("--to", choices=sorted(_MAPS), required=True)
+    p_map.add_argument("--to", choices=sorted(KINDS), required=True)
     p_map.add_argument("--d", type=int, required=True)
     p_map.add_argument("--input", required=True)
     p_map.add_argument("--inverse", action="store_true")

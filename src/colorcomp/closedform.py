@@ -2,18 +2,21 @@
 
 Covers the polytopic-color counts P_n(d) (per part count and total) and
 the three restricted families: parts in {1, m}, parts congruent to 1 mod
-m, and parts at least m.  The defining sums are evaluated for all n >= 1;
-the vanishing-binomial convention C(a, b) = 0 for b < 0 or b > a makes
-them correct below the paper-stated thresholds as well (confirmed against
-brute-force enumeration in the test suite).
+m, and parts at least m, each one row of ``FAMILIES``, the one home of
+their part rules, closed forms, image totals and word-level bijections.
+The defining sums are evaluated for all n >= 1; the vanishing-binomial
+convention C(a, b) = 0 for b < 0 or b > a makes them correct below the
+paper-stated thresholds as well (confirmed against brute-force
+enumeration in the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable, NamedTuple
 
-from .errors import DomainError, as_int
+from .errors import DomainError, InputError, as_int
 
 __all__ = [
     "Family",
@@ -26,13 +29,93 @@ __all__ = [
     "count_family",
 ]
 
-# The family kinds, in the order every listing and check uses.
-KINDS = ("ones", "mod", "ge")
+
+def _ones_word(parts, m):
+    try:
+        return "".join(map({1: "1", m: "0"}.__getitem__, parts))
+    except KeyError as exc:
+        raise InputError(f"part {exc.args[0]} not in {{1, {m}}}") from None
+
+
+def _mod_word(parts, m):
+    pieces = {}  # distinct part -> its run of zeros and the '1' after it
+    for p in set(parts):
+        run, rest = divmod(p - 1, m)
+        if p < 1 or rest:
+            raise InputError(f"part {p} is not 1 modulo {m}")
+        pieces[p] = "0" * run + "1"
+    return "".join(map(pieces.__getitem__, parts))[:-1]
+
+
+def _ge_word(parts, m):
+    pieces = {}  # distinct part -> its run of ones and the '0' after it
+    for p in set(parts):
+        if p < m:
+            raise InputError(f"part {p} smaller than {m}")
+        pieces[p] = "1" * (p - m) + "0"
+    return "".join(map(pieces.__getitem__, parts))[:-1]
+
+
+class _Rules(NamedTuple):
+    """What one family kind is, written in its parameter m (m = d + 1 for the maps)."""
+
+    admits: Callable[[int, int], bool]  # (part, m): the part rule
+    count: Callable[[int, int], int]  # (n, m): the closed-form sum for compositions of n
+    size: Callable[[int, int], int]  # (nu, m): the total of the image of a composition of nu
+    image: Callable[[str, int], tuple]  # (codeword, m) -> parts
+    word: Callable[[tuple, int], str]  # (parts, m) -> codeword; rejects parts outside the family
+
+
+# The three families, in the order every listing and check uses.
+#   ones: every '1' of the codeword becomes a part 1, every '0' a part m.
+#   mod:  the ones are separators; a gap of j zeros becomes a part mj + 1.
+#   ge:   the zeros are separators; a gap of j ones becomes a part j + m.
+FAMILIES = {
+    "ones": _Rules(
+        admits=lambda part, m: part == 1 or part == m,
+        count=lambda n, m: sum(comb(n - (m - 1) * j, j) for j in range(n // m + 1)),
+        size=lambda nu, m: m * nu - 1,
+        image=lambda beta, m: tuple(map({"1": 1, "0": m}.__getitem__, beta)),
+        word=_ones_word,
+    ),
+    "mod": _Rules(
+        admits=lambda part, m: part % m == 1 % m,
+        count=lambda n, m: sum(comb(n - (m - 1) * j - 1, j) for j in range(n // m + 1)),
+        size=lambda nu, m: m * nu,
+        image=lambda beta, m: tuple([m * len(gap) + 1 for gap in beta.split("1")]),
+        word=_mod_word,
+    ),
+    "ge": _Rules(
+        admits=lambda part, m: part >= m,
+        count=lambda n, m: sum(
+            comb(n - (m - 1) * k - 1, k - 1) for k in range(1, (n - 1) // (m - 1) + 1)
+        ),
+        size=lambda nu, m: m * nu + m - 1,
+        image=lambda beta, m: tuple([len(gap) + m for gap in beta.split("0")]),
+        word=_ge_word,
+    ),
+}
+KINDS = tuple(FAMILIES)
+
+
+def kind_rules(kind):
+    """The ``FAMILIES`` row of a kind name; DomainError for an unknown kind."""
+    try:
+        return FAMILIES[kind]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown family kind {kind!r}") from None
+
+
+def family_rules(family):
+    """The ``FAMILIES`` row of a Family; InputError for any other object."""
+    if not isinstance(family, Family):
+        raise InputError(f"family must be a Family, got {family!r}")
+    return FAMILIES[family.kind]
 
 
 @dataclass(frozen=True)
 class Family:
-    """A restricted-composition family: kind in {'ones', 'mod', 'ge'} and m >= 2.
+    """A restricted-composition family: a kind in ``KINDS`` and m >= 2.
 
     * ``ones``: parts drawn from {1, m}
     * ``mod``:  every part congruent to 1 modulo m
@@ -43,19 +126,14 @@ class Family:
     m: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown family kind {self.kind!r}")
+        kind_rules(self.kind)
         object.__setattr__(self, "m", as_int(self.m, "m"))
         if self.m < 2:
             raise DomainError(f"family parameter m must be >= 2, got {self.m}")
 
     def admits(self, part):
         """Whether a part of the given size is allowed in this family."""
-        if self.kind == "ones":
-            return part == 1 or part == self.m
-        if self.kind == "mod":
-            return part % self.m == 1 % self.m
-        return part >= self.m
+        return FAMILIES[self.kind].admits(part, self.m)
 
 
 def OnesAndM(m):
@@ -103,11 +181,4 @@ def count_family(family, n):
     n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    m = family.m
-    if family.kind == "ones":
-        return sum(comb(n - (m - 1) * j, j) for j in range(n // m + 1))
-    if family.kind == "mod":
-        return sum(comb(n - (m - 1) * j - 1, j) for j in range(n // m + 1))
-    return sum(
-        comb(n - (m - 1) * k - 1, k - 1) for k in range(1, (n - 1) // (m - 1) + 1)
-    )
+    return family_rules(family).count(n, family.m)

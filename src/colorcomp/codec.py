@@ -11,13 +11,14 @@ has ones at the unique positions c_d > ... > c_1 >= 0 with
 On top of that sit the colored-composition <-> binary-word codec and the
 three maps onto restricted composition families.  Each family map is a
 word-level pair, ``image_of_word``/``word_of_image``, composed with the
-codec; both sides are driven by one per-kind table.
+codec; both sides read their kind's row of ``closedform.FAMILIES``.
 """
 
 from __future__ import annotations
 
 from math import comb
 
+from .closedform import kind_rules
 from .compgen import ColoredComposition
 from .errors import DomainError, InputError, InternalError, as_int
 
@@ -119,8 +120,11 @@ def to_binary(alpha):
     n + d - 1 with d ones; parts are joined by single '1' separators.
     The result has length nu + d*k - 1 and exactly (d+1)*k - 1 ones.
     """
-    d = alpha.d
-    return "1".join([_unrank(c - 1, s + d - 1, d) for s, c in alpha.parts])
+    try:
+        d, parts = alpha.d, alpha.parts
+    except AttributeError:
+        raise InputError(f"expected a ColoredComposition, got {alpha!r}") from None
+    return "1".join([_unrank(c - 1, s + d - 1, d) for s, c in parts])
 
 
 def from_binary(beta, d):
@@ -158,62 +162,6 @@ def from_binary(beta, d):
     return ColoredComposition._trusted(d, tuple(parts))
 
 
-def _ones_image(beta, d):
-    return tuple(map({"1": 1, "0": d + 1}.__getitem__, beta))
-
-
-def _ones_word(parts, d):
-    try:
-        return "".join(map({1: "1", d + 1: "0"}.__getitem__, parts))
-    except KeyError as exc:
-        raise InputError(f"part {exc.args[0]} not in {{1, {d + 1}}}") from None
-
-
-def _mod_image(beta, d):
-    return tuple([(d + 1) * len(gap) + 1 for gap in beta.split("1")])
-
-
-def _mod_word(parts, d):
-    pieces = {}  # distinct part -> its run of zeros and the '1' after it
-    for p in set(parts):
-        run, rest = divmod(p - 1, d + 1)
-        if p < 1 or rest:
-            raise InputError(f"part {p} is not 1 modulo {d + 1}")
-        pieces[p] = "0" * run + "1"
-    return "".join(map(pieces.__getitem__, parts))[:-1]
-
-
-def _ge_image(beta, d):
-    return tuple([len(gap) + d + 1 for gap in beta.split("0")])
-
-
-def _ge_word(parts, d):
-    pieces = {}  # distinct part -> its run of ones and the '0' after it
-    for p in set(parts):
-        if p < d + 1:
-            raise InputError(f"part {p} smaller than {d + 1}")
-        pieces[p] = "1" * (p - d - 1) + "0"
-    return "".join(map(pieces.__getitem__, parts))[:-1]
-
-
-# kind -> (codeword -> image, image -> codeword).
-#   ones: every '1' becomes a part 1, every '0' a part d+1.
-#   mod:  the ones are separators; a gap of j zeros becomes a part (d+1)j + 1.
-#   ge:   the zeros are separators; a gap of j ones becomes a part j + d + 1.
-_FAMILY_CODECS = {
-    "ones": (_ones_image, _ones_word),
-    "mod": (_mod_image, _mod_word),
-    "ge": (_ge_image, _ge_word),
-}
-
-
-def _family_codec(kind):
-    try:
-        return _FAMILY_CODECS[kind]
-    except (KeyError, TypeError):
-        raise DomainError(f"unknown family kind {kind!r}") from None
-
-
 def image_of_word(kind, beta, d):
     """The family image of the codeword beta: a tuple of part sizes.
 
@@ -222,7 +170,7 @@ def image_of_word(kind, beta, d):
     summing to (d+1)nu + d), where beta = to_binary(alpha) for a colored
     composition alpha of nu.
     """
-    image = _family_codec(kind)[0]
+    image = kind_rules(kind).image
     _check_word(beta)
     d = _check_d(d)
     ones = beta.count("1")
@@ -230,7 +178,7 @@ def image_of_word(kind, beta, d):
         raise InputError(f"binary word may contain only 0/1, got {beta!r}")
     if (ones + 1) % (d + 1):
         raise InputError(f"word with {ones} ones cannot split into segments of {d} ones")
-    return image(beta, d)
+    return image(beta, d + 1)
 
 
 def word_of_image(kind, parts, d):
@@ -238,7 +186,7 @@ def word_of_image(kind, parts, d):
 
     Rejects parts outside the family of ``kind`` for this d.
     """
-    word = _family_codec(kind)[1]
+    word = kind_rules(kind).word
     d = _check_d(d)
     try:
         parts = tuple(parts)
@@ -248,7 +196,7 @@ def word_of_image(kind, parts, d):
         raise InputError("empty composition")
     if set(map(type, parts)) != {int}:  # one C-level pass in the common all-int case
         parts = tuple(as_int(p, "part") for p in parts)
-    return word(parts, d)
+    return word(parts, d + 1)
 
 
 def map_ones_m(alpha):

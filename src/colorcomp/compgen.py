@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .closedform import num_colors
+from .bell import require_prefix
+from .closedform import family_rules, num_colors
 from .errors import DomainError, InputError, as_int
 
 __all__ = ["ColoredComposition", "enum_colored", "enum_family", "enum_weighted"]
@@ -133,7 +134,8 @@ def enum_family(family, n):
     n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    sizes = [s for s in range(1, n + 1) if family.admits(s)]
+    admits = family_rules(family).admits
+    sizes = [s for s in range(1, n + 1) if admits(s, family.m)]
     return _compositions_from(sizes, n)
 
 
@@ -171,8 +173,7 @@ def enum_weighted(w, n):
     n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if n > len(w):
-        raise InputError(f"weight prefix of length {len(w)} too short for n={n}")
+    require_prefix(w, n)
 
     def _walk(remaining):
         for s in range(1, remaining + 1):

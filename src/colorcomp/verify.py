@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
-from .closedform import KINDS, AtLeastM, OneModM, OnesAndM
+from .closedform import FAMILIES, KINDS, Family
 
 __all__ = [
     "CheckResult",
@@ -49,15 +49,17 @@ class CheckResult:
 @dataclass
 class CheckReport:
     checks: list = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
 
+    @property
+    def elapsed(self):
+        return sum(c.elapsed for c in self.checks)
+
     def merge(self, other):
         self.checks.extend(other.checks)
-        self.elapsed += other.elapsed
         return self
 
     def to_text(self):
@@ -117,23 +119,11 @@ class _Clock:
         self.last = now
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.elapsed = time.perf_counter() - start
-        return report
-
-    return wrapper
-
-
 def _families(nu, d):
     """(family, size) of the three images of a colored composition of nu, in KINDS order."""
-    m = d + 1
-    return ((OnesAndM(m), m * nu - 1), (OneModM(m), m * nu), (AtLeastM(m), m * nu + d))
+    return tuple((Family(kind, d + 1), rules.size(nu, d + 1)) for kind, rules in FAMILIES.items())
 
 
-@_timed
 def check_counts(nu_max, d_max):
     """Counting identities over 1 <= nu <= nu_max, 1 <= d <= d_max.
 
@@ -179,7 +169,6 @@ def check_counts(nu_max, d_max):
     return CheckReport([fourway, prop_bell, enum_eq])
 
 
-@_timed
 def check_phi(n_max, d_max):
     """Rank/unrank bijectivity and order compatibility for word lengths <= n_max."""
     grid = f"n<={n_max}, d<={min(n_max, d_max)}"
@@ -204,7 +193,6 @@ def check_phi(n_max, d_max):
     return CheckReport([bijective, ordered])
 
 
-@_timed
 def check_bijections(nu_max, d_max, phi_n_max=None):
     """Bijection suite over 1 <= nu <= nu_max, 1 <= d <= d_max.
 
@@ -285,7 +273,6 @@ GOLDEN_NU3_D2 = (
 )
 
 
-@_timed
 def golden_tables():
     """Regenerate the 13-row nu=3, d=2 correspondence and diff it against
     the embedded golden data, binary-word column included."""

@@ -30,6 +30,22 @@ class TestCount:
         assert code == 0
         assert out.strip() == "k=1:6 k=2:6 k=3:1"
 
+    def test_pd_k(self, capsys):
+        code, out, _ = run(capsys, "count", "pd", "--nu", "3", "--d", "2", "--k", "2")
+        assert (code, out.strip()) == (0, "6")
+        code, out, err = run(capsys, "count", "pd", "--nu", "3", "--d", "2", "--k", "0")
+        assert (code, out) == (1, "") and err.startswith("error:")
+
+    def test_weighted_by_parts(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "weighted", "--n", "5", "--weights", "1,1,0,0,0", "--by-parts"
+        )
+        assert (code, out.strip()) == (0, "k=1:0 k=2:0 k=3:3 k=4:4 k=5:1")
+        code, out, err = run(
+            capsys, "count", "weighted", "--n", "5", "--weights", "1,1,0", "--by-parts"
+        )
+        assert (code, out) == (1, "") and err.startswith("error:")
+
     def test_family_empty(self, capsys):
         code, out, _ = run(
             capsys, "count", "family", "--kind", "ge", "--m", "3", "--n", "2"

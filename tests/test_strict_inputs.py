@@ -10,16 +10,19 @@ from colorcomp import (
     WeightSeq,
     count_pd,
     count_pd_k,
+    enum_family,
     enum_weighted,
     from_binary,
     hoggatt_lind_count,
     image_of_word,
     invert_transform,
+    map_ge_m,
     map_ge_m_inv,
     map_mod_m_inv,
     map_ones_m_inv,
     partial_bell,
     rank_word,
+    to_binary,
     unrank_word,
     weighted_count,
     weighted_count_k,
@@ -74,6 +77,18 @@ REJECTED = [
     ("None word in decode", lambda: from_binary(None, 2)),
     ("None word in image", lambda: image_of_word("ge", None, 2)),
     ("None image", lambda: word_of_image("ge", None, 2)),
+    ("list weights in weighted count", lambda: weighted_count([1, 2, 3], 1)),
+    ("list weights in weighted count k", lambda: weighted_count_k([1, 2, 3], 2, 1)),
+    ("list weights in invert", lambda: invert_transform([1, 2, 3], 2)),
+    ("list weights in partition sum", lambda: hoggatt_lind_count([1, 2, 3], 2, 1)),
+    ("list weights in enum_weighted", lambda: enum_weighted([1, 2, 3], 1)),
+    ("float weight index", lambda: W[2.0]),
+    ("string weight index", lambda: W["a"]),
+    ("bool weight index", lambda: W[True]),
+    ("string in to_binary", lambda: to_binary("11")),
+    ("string in map", lambda: map_ge_m("1^1")),
+    ("kind string in count_family", lambda: count_family("ge", 5)),
+    ("kind string in enum_family", lambda: enum_family("ge", 5)),
 ]
 
 
@@ -97,3 +112,4 @@ def test_integer_like_values_are_accepted():
     assert ColoredComposition(Index(2), ((Index(3), Index(2)),)).parts == ((3, 2),)
     assert map_ge_m_inv((Index(3), 3, 5), 2) == ColoredComposition.parse("3^1", 2)
     assert weighted_count(WeightSeq((Index(1), 1, 1)), Index(3)) == 4
+    assert WeightSeq((1, 2))[Index(2)] == 2
