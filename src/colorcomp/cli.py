@@ -50,6 +50,8 @@ def _parse_composition(text):
 def _print_count(args, n, count_k, count, *fixed):
     """Print count_k(*fixed, k) for k in 1..n (--by-parts) or at --k, else count(*fixed)."""
     if args.by_parts:
+        if n < 1:
+            count(*fixed)  # raises the DomainError the total gives for this n
         print(" ".join(f"k={k}:{count_k(*fixed, k)}" for k in range(1, n + 1)))
     elif args.k is not None:
         print(count_k(*fixed, args.k))

@@ -1,19 +1,26 @@
-"""Closed-form big-integer counts for colored and restricted compositions.
+"""Exact big-integer counts for colored and restricted compositions.
 
 Covers the polytopic-color counts P_n(d) (per part count and total) and
 the three restricted families: parts in {1, m}, parts congruent to 1 mod
 m, and parts at least m, each one row of ``FAMILIES``, the one home of
 their part rules, closed forms, image totals and word-level bijections.
-The defining sums are evaluated for all n >= 1; the vanishing-binomial
-convention C(a, b) = 0 for b < 0 or b > a makes them correct below the
-paper-stated thresholds as well (confirmed against brute-force
-enumeration in the test suite).
+
+``count_pd`` and ``count_family`` run exact linear recurrences read off
+the generating functions: P(x) = x/((1-x)^(d+1) - x) for the total, and
+1/(1-x-x^m), shifted by one offset per kind, for the families.  The
+paper's binomial sums (``count_pd_k`` summed over k, and each row's
+``count``) are their oracle in ``verify`` and the tests.  The sums are
+evaluated for all n >= 1; the vanishing-binomial convention C(a, b) = 0
+for b < 0 or b > a makes them correct below the paper-stated thresholds
+as well (confirmed against brute-force enumeration in the test suite).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, as_int
@@ -61,6 +68,7 @@ class _Rules(NamedTuple):
 
     admits: Callable[[int, int], bool]  # (part, m): the part rule
     count: Callable[[int, int], int]  # (n, m): the closed-form sum for compositions of n
+    shift: Callable[[int], int]  # (m): the family's count at n is a_(n - shift) of 1/(1-x-x^m)
     size: Callable[[int, int], int]  # (nu, m): the total of the image of a composition of nu
     image: Callable[[str, int], tuple]  # (codeword, m) -> parts
     word: Callable[[tuple, int], str]  # (parts, m) -> codeword; rejects parts outside the family
@@ -74,6 +82,7 @@ FAMILIES = {
     "ones": _Rules(
         admits=lambda part, m: part == 1 or part == m,
         count=lambda n, m: sum(comb(n - (m - 1) * j, j) for j in range(n // m + 1)),
+        shift=lambda m: 0,
         size=lambda nu, m: m * nu - 1,
         image=lambda beta, m: tuple(map({"1": 1, "0": m}.__getitem__, beta)),
         word=_ones_word,
@@ -81,6 +90,7 @@ FAMILIES = {
     "mod": _Rules(
         admits=lambda part, m: part % m == 1 % m,
         count=lambda n, m: sum(comb(n - (m - 1) * j - 1, j) for j in range(n // m + 1)),
+        shift=lambda m: 1,
         size=lambda nu, m: m * nu,
         image=lambda beta, m: tuple([m * len(gap) + 1 for gap in beta.split("1")]),
         word=_mod_word,
@@ -90,6 +100,7 @@ FAMILIES = {
         count=lambda n, m: sum(
             comb(n - (m - 1) * k - 1, k - 1) for k in range(1, (n - 1) // (m - 1) + 1)
         ),
+        shift=lambda m: m,
         size=lambda nu, m: m * nu + m - 1,
         image=lambda beta, m: tuple([len(gap) + m for gap in beta.split("0")]),
         word=_ge_word,
@@ -132,8 +143,9 @@ class Family:
             raise DomainError(f"family parameter m must be >= 2, got {self.m}")
 
     def admits(self, part):
-        """Whether a part of the given size is allowed in this family."""
-        return FAMILIES[self.kind].admits(part, self.m)
+        """Whether a part of the given size is allowed in this family (never for size < 1)."""
+        part = as_int(part, "part")
+        return part >= 1 and FAMILIES[self.kind].admits(part, self.m)
 
 
 def OnesAndM(m):
@@ -169,16 +181,46 @@ def count_pd_k(nu, d, k):
 
 
 def count_pd(nu, d):
-    """Total number of polytopic-color compositions of nu."""
+    """Total number of polytopic-color compositions of nu.
+
+    ((1-x)^(d+1) - x) P(x) = x gives the order-(d+1) recurrence
+    P_n = [n=1] + P_(n-1) + sum_(i=1..d+1) (-1)^(i+1) C(d+1, i) P_(n-i),
+    with P_n = 0 for n <= 0: no division, and only the first
+    min(nu-1, d+1) coefficients are ever needed.
+    """
     nu, d = as_int(nu, "nu"), as_int(d, "d")
     if nu < 1 or d < 1:
         raise DomainError(f"need nu >= 1 and d >= 1, got {nu}, {d}")
-    return sum(count_pd_k(nu, d, k) for k in range(1, nu + 1))
+    r = min(nu - 1, d + 1)
+    coeffs = [comb(d + 1, i) if i % 2 else -comb(d + 1, i) for i in range(1, r + 1)]
+    window = deque([1], maxlen=max(r, 1))  # the last r of P_1, P_2, ...
+    for _ in range(nu - 1):
+        window.append(window[-1] + sum(map(mul, coeffs, reversed(window))))
+    return window[-1]
+
+
+def _ones_and_m(j, m):
+    """a_j of 1/(1-x-x^m), the compositions of j into parts 1 and m (a_j = 0 for j < 0).
+
+    a_j = a_(j-1) + a_(j-m) with a_0 = ... = a_(m-1) = 1, kept in a window
+    of m values: slot j mod m holds a_(j-m) until a_j replaces it.
+    """
+    if j < 0:
+        return 0
+    a = [1] * m
+    for i in range(m, j + 1):
+        i %= m
+        a[i] += a[i - 1]
+    return a[j % m]
 
 
 def count_family(family, n):
-    """Size of the restricted family at n, by its closed-form sum."""
+    """Size of the restricted family at n: a_(n - shift) of 1/(1-x-x^m).
+
+    The generating functions are x^shift/(1-x-x^m) with shift 0 (ones),
+    1 (mod) and m (ge); the row's closed-form ``count`` is the oracle.
+    """
     n = as_int(n, "n")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    return family_rules(family).count(n, family.m)
+    return _ones_and_m(n - family_rules(family).shift(family.m), family.m)

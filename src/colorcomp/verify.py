@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
@@ -124,12 +125,23 @@ def _families(nu, d):
     return tuple((Family(kind, d + 1), rules.size(nu, d + 1)) for kind, rules in FAMILIES.items())
 
 
+def _same_rows(rows, stream):
+    """Whether ``stream`` yields exactly ``rows``, one by one and in order.
+
+    Holds no second copy of the rows, and fails on a missing, extra,
+    duplicated or misplaced row of the stream.
+    """
+    return all(a == b for a, b in zip_longest(rows, stream))
+
+
 def check_counts(nu_max, d_max):
     """Counting identities over 1 <= nu <= nu_max, 1 <= d <= d_max.
 
     Checks the four-way equality between the polytopic count and the
-    three restricted-family counts, the Bell-vs-binomial identity per
-    part count, and closed-form counts against enumeration sizes.
+    three restricted-family counts, each both by the paper's binomial sum
+    (``count_pd_k`` over k, each ``FAMILIES`` row's ``count``) and by its
+    recurrence (``count_pd``, ``count_family``), the Bell-vs-binomial
+    identity per part count, and the counts against enumeration sizes.
     Per d, one ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
     k! * B_{nu,k}, compared with nu! times each count: no division.
     """
@@ -146,13 +158,16 @@ def check_counts(nu_max, d_max):
         for nu in range(1, nu_max + 1):
             families = _families(nu, d)
             p = closedform.count_pd(nu, d)
+            pd_k = [closedform.count_pd_k(nu, d, k) for k in range(1, nu + 1)]
             fourway.cells += 1
-            if not all(closedform.count_family(f, n) == p for f, n in families):
+            paper = [sum(pd_k), *(FAMILIES[f.kind].count(n, f.m) for f, n in families)]
+            routes = [closedform.count_family(f, n) for f, n in families]
+            if any(c != p for c in paper + routes):
                 fourway.record((nu, d))
             clock.lap(fourway)
-            for k in range(1, nu + 1):
+            for k, count in enumerate(pd_k, start=1):
                 prop_bell.cells += 1
-                counts = (closedform.count_pd_k(nu, d, k), bell.weighted_count_k(w, nu, k))
+                counts = (count, bell.weighted_count_k(w, nu, k))
                 if any(factorial(k) * table[(nu, k)] != factorial(nu) * c for c in counts):
                     prop_bell.record((nu, d, k))
             clock.lap(prop_bell)
@@ -198,8 +213,8 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
 
     Verifies the rank/unrank layer (word lengths up to ``phi_n_max``,
     default nu_max + d_max), the binary-word codec round trip with exact
-    image characterization per part count, and image-set equality of the
-    three family maps against direct enumeration.
+    image characterization per part count, and that the sorted images of
+    each family map are, row by row, the ascending ``enum_family`` stream.
 
     Each grid point is enumerated once, part count by part count, and each
     row is encoded once: the three family images come from that word.  A
@@ -243,7 +258,8 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
                 clock.lap(codec_check)
             if images_ok:
                 images_ok = all(
-                    seen[f.kind] == set(compgen.enum_family(f, n)) for f, n in _families(nu, d)
+                    _same_rows(sorted(seen[f.kind]), compgen.enum_family(f, n))
+                    for f, n in _families(nu, d)
                 )
             if not images_ok:
                 images.record((nu, d))

@@ -46,6 +46,15 @@ class TestCount:
         )
         assert (code, out) == (1, "") and err.startswith("error:")
 
+    def test_by_parts_rejects_nonpositive_n(self, capsys):
+        for argv in (
+            ("count", "pd", "--nu", "0", "--d", "2"),
+            ("count", "weighted", "--n", "0", "--weights", "1"),
+        ):
+            total = run(capsys, *argv)
+            assert total[0] == 1 and total[2].startswith("error: ")
+            assert run(capsys, *argv, "--by-parts") == (1, "", total[2])
+
     def test_family_empty(self, capsys):
         code, out, _ = run(
             capsys, "count", "family", "--kind", "ge", "--m", "3", "--n", "2"

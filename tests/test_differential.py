@@ -5,7 +5,8 @@ The codec and enumerator oracles are the original implementations, kept
 here: a fresh binomial at every step of the colex scan, ranking from a
 list of one positions, and the recursive family walk.  The weighted
 counts are checked against the package's own oracles, the partial Bell
-table of the paper's identity and the partition sum.
+table of the paper's identity and the partition sum, and the recurrences
+of ``count_pd`` and ``count_family`` against the paper's binomial sums.
 """
 
 from math import comb, factorial
@@ -15,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from colorcomp import (
     ColoredComposition,
     WeightSeq,
+    count_family,
+    count_pd,
+    count_pd_k,
     enum_colored,
     enum_family,
     from_binary,
@@ -34,7 +38,7 @@ from colorcomp import (
     word_of_image,
 )
 from colorcomp.bell import partial_bell_table
-from colorcomp.closedform import KINDS, Family
+from colorcomp.closedform import FAMILIES, KINDS, Family
 
 MAPS = {
     "ones": (map_ones_m, map_ones_m_inv),
@@ -175,3 +179,27 @@ def test_weighted_count_k_matches_partition_sum(w, data):
     n = data.draw(st.integers(1, len(w)))
     k = data.draw(st.integers(1, n))
     assert weighted_count_k(w, n, k) == hoggatt_lind_count(w, n, k)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 300), st.data())
+def test_count_pd_matches_binomial_sum(nu, data):
+    d = data.draw(st.one_of(st.integers(1, 40), st.integers(nu, 20 * nu)), label="d")
+    assert count_pd(nu, d) == sum(count_pd_k(nu, d, k) for k in range(1, nu + 1))
+
+
+@given(st.sampled_from(KINDS), st.integers(2, 50), st.data())
+def test_count_family_matches_closed_form(kind, m, data):
+    near_m = st.sampled_from((m - 1, m, m + 1))
+    n = data.draw(st.one_of(near_m, st.integers(1, 400)), label="n")
+    assert count_family(Family(kind, m), n) == FAMILIES[kind].count(n, m)
+
+
+def test_recurrences_match_paper_sums_on_a_grid():
+    for nu in range(1, 61):
+        for d in range(1, 21):
+            assert count_pd(nu, d) == sum(count_pd_k(nu, d, k) for k in range(1, nu + 1))
+    for kind in KINDS:
+        for m in range(2, 13):
+            for n in range(1, 151):
+                assert count_family(Family(kind, m), n) == FAMILIES[kind].count(n, m)

@@ -28,7 +28,7 @@ from colorcomp import (
     weighted_count_k,
     word_of_image,
 )
-from colorcomp.closedform import Family, count_family
+from colorcomp.closedform import KINDS, AtLeastM, Family, OneModM, OnesAndM, count_family
 from colorcomp.errors import InputError, as_int
 
 W = WeightSeq((1, 1, 1))
@@ -89,6 +89,10 @@ REJECTED = [
     ("string in map", lambda: map_ge_m("1^1")),
     ("kind string in count_family", lambda: count_family("ge", 5)),
     ("kind string in enum_family", lambda: enum_family("ge", 5)),
+    ("float part in admits", lambda: OnesAndM(3).admits(1.0)),
+    ("fractional part in admits", lambda: AtLeastM(3).admits(3.5)),
+    ("bool part in admits", lambda: OneModM(3).admits(True)),
+    ("string part in admits", lambda: AtLeastM(3).admits("3")),
 ]
 
 
@@ -96,6 +100,14 @@ REJECTED = [
 def test_rejected_with_package_error(call):
     with pytest.raises(ColorCompError):
         call()
+
+
+def test_admits_no_nonpositive_part():
+    assert not OneModM(3).admits(-2) and not OneModM(3).admits(-5)
+    for kind in KINDS:
+        for m in (2, 3, 5):
+            assert not any(Family(kind, m).admits(part) for part in range(-2 * m, 1))
+    assert OneModM(3).admits(Index(4)) and not AtLeastM(3).admits(Index(2))
 
 
 def test_as_int():

@@ -8,6 +8,7 @@ from colorcomp import (
     check_counts,
     check_phi,
     cli,
+    closedform,
     codec,
     count_pd,
     golden_tables,
@@ -62,6 +63,26 @@ class TestCheckCounts:
         bell_check = check_counts(6, 3).checks[1]
         assert bell_check.failures == 3
         assert bell_check.counterexample == (5, 1, 2)
+
+    # The 'ge' image of a composition of nu has size (d + 1)(nu + 1) - 1, so
+    # n = 11 is hit at (nu, d) = (5, 1), (3, 2) and (2, 3) of a 6 x 3 grid.
+    def test_fourway_catches_a_wrong_recurrence(self, monkeypatch):
+        count = closedform.count_family
+
+        def off_by_one(family, n):
+            return count(family, n) + (family.kind == "ge" and n == 11)
+
+        monkeypatch.setattr(closedform, "count_family", off_by_one)
+        fourway = check_counts(6, 3).checks[0]
+        assert (fourway.failures, fourway.counterexample) == (3, (5, 1))
+
+    def test_fourway_catches_a_wrong_closed_form(self, monkeypatch):
+        rules = closedform.FAMILIES["ge"]
+        wrong = rules._replace(count=lambda n, m: rules.count(n, m) + (n == 11))
+        monkeypatch.setitem(closedform.FAMILIES, "ge", wrong)
+        fourway, prop_bell, enum_eq = check_counts(6, 3).checks
+        assert (fourway.failures, fourway.counterexample) == (3, (5, 1))
+        assert prop_bell.passed and enum_eq.passed
 
 
 class TestCheckBijections:
