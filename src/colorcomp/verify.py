@@ -8,11 +8,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
 from .closedform import FAMILIES, KINDS, Family
+from .errors import DomainError, as_int
 
 __all__ = [
     "CheckResult",
@@ -125,13 +125,26 @@ def _families(nu, d):
     return tuple((Family(kind, d + 1), rules.size(nu, d + 1)) for kind, rules in FAMILIES.items())
 
 
-def _same_rows(rows, stream):
-    """Whether ``stream`` yields exactly ``rows``, one by one and in order.
+def _bound(value, name):
+    """A grid bound as an int; DomainError below 1, where the grid would check nothing."""
+    value = as_int(value, name)
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+    return value
 
-    Holds no second copy of the rows, and fails on a missing, extra,
-    duplicated or misplaced row of the stream.
+
+def _ascending_count(rows):
+    """How many rows ``rows`` yields, or None unless each is greater than the one before.
+
+    Holds one row at a time.  On a stream meant to ascend strictly, a
+    duplicated or misplaced row shows up as a row that is not greater.
     """
-    return all(a == b for a, b in zip_longest(rows, stream))
+    count, last = 0, None
+    for row in rows:
+        if count and row <= last:
+            return None
+        count, last = count + 1, row
+    return count
 
 
 def check_counts(nu_max, d_max):
@@ -145,6 +158,7 @@ def check_counts(nu_max, d_max):
     Per d, one ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
     k! * B_{nu,k}, compared with nu! times each count: no division.
     """
+    nu_max, d_max = _bound(nu_max, "nu_max"), _bound(d_max, "d_max")
     grid = f"nu<={nu_max}, d<={d_max}"
     fourway = CheckResult("four-way count identity", grid, 0)
     prop_bell = CheckResult("Bell recurrence vs closed form (per k)", grid, 0)
@@ -172,12 +186,9 @@ def check_counts(nu_max, d_max):
                     prop_bell.record((nu, d, k))
             clock.lap(prop_bell)
             enum_eq.cells += 1
-            if not (
-                p == sum(1 for _ in compgen.enum_colored(nu, d))
-                and all(
-                    closedform.count_family(f, n) == sum(1 for _ in compgen.enum_family(f, n))
-                    for f, n in families
-                )
+            if p != sum(1 for _ in compgen.enum_colored(nu, d)) or any(
+                _ascending_count(compgen.enum_family(f, n)) != count
+                for (f, n), count in zip(families, routes)
             ):
                 enum_eq.record((nu, d))
             clock.lap(enum_eq)
@@ -186,6 +197,7 @@ def check_counts(nu_max, d_max):
 
 def check_phi(n_max, d_max):
     """Rank/unrank bijectivity and order compatibility for word lengths <= n_max."""
+    n_max, d_max = _bound(n_max, "n_max"), _bound(d_max, "d_max")
     grid = f"n<={n_max}, d<={min(n_max, d_max)}"
     bijective = CheckResult("rank/unrank round trip and distinctness", grid, 0)
     ordered = CheckResult("rank order matches binary value order", grid, 0)
@@ -213,16 +225,30 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
 
     Verifies the rank/unrank layer (word lengths up to ``phi_n_max``,
     default nu_max + d_max), the binary-word codec round trip with exact
-    image characterization per part count, and that the sorted images of
-    each family map are, row by row, the ascending ``enum_family`` stream.
+    image characterization per part count, and that each family map sends
+    the rows of (nu, d) onto its family, by a counting argument that holds
+    no image.
 
-    Each grid point is enumerated once, part count by part count, and each
-    row is encoded once: the three family images come from that word.  A
-    family inverse is ``from_binary`` after ``word_of_image``, so checking
+    Each grid point is enumerated once, part count by part count.  Each row
+    is encoded once into the part count's list of words, and the three
+    family images come from that word; the clock laps once per part count
+    for the codec check and once for the image check.  A family inverse is
+    ``from_binary`` after ``word_of_image``, so checking
     ``word_of_image(image) == beta`` next to ``from_binary(beta) == alpha``
     checks every inverse map.
+
+    The image check needs, for every row and kind: the row decodes from
+    its word; the image has the family's total and only parts that
+    ``Family.admits``; and ``word_of_image(image) == beta``.  The words of
+    one part count are distinct, and those of different part counts differ
+    in length.  So each image lies in the family, distinct rows have
+    distinct images, and there are as many images as rows.  One walk of
+    each ``enum_family`` stream counts its rows and checks that they ascend
+    strictly; an equal count makes the images the whole family.
     """
-    phi = check_phi(phi_n_max or nu_max + d_max, d_max)
+    nu_max, d_max = _bound(nu_max, "nu_max"), _bound(d_max, "d_max")
+    phi_n_max = nu_max + d_max if phi_n_max is None else _bound(phi_n_max, "phi_n_max")
+    phi = check_phi(phi_n_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
     codec_check = CheckResult("binary codec round trip and image", grid, 0)
     images = CheckResult("family map images equal enumerations", grid, 0)
@@ -230,36 +256,42 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     for d in range(1, d_max + 1):
         for nu in range(1, nu_max + 1):
             images.cells += 1
-            seen = {kind: set() for kind in KINDS}
-            images_ok = True
+            families = [
+                (f, n, frozenset(s for s in range(1, n + 1) if f.admits(s)))
+                for f, n in _families(nu, d)
+            ]
+            images_ok, rows = True, 0
             for k in range(1, nu + 1):
                 codec_check.cells += 1
                 length, ones = nu + d * k - 1, (d + 1) * k - 1
-                words = set()
+                words = []
                 ok = True
                 for alpha in compgen.enum_colored(nu, d, k):
                     beta = codec.to_binary(alpha)
                     decoded = codec.from_binary(beta, d) == alpha
                     if not decoded or len(beta) != length or beta.count("1") != ones:
                         ok = False
-                    words.add(beta)
-                    clock.lap(codec_check)
                     images_ok = images_ok and decoded
-                    for kind, kind_seen in seen.items():
-                        image = codec.image_of_word(kind, beta, d)
-                        if codec.word_of_image(kind, image, d) != beta:
-                            images_ok = False
-                        kind_seen.add(image)
-                    clock.lap(images)
-                if ok and len(words) != closedform.count_pd_k(nu, d, k):
-                    ok = False
-                if not ok:
+                    words.append(beta)
+                distinct = len(set(words))
+                if not ok or distinct != closedform.count_pd_k(nu, d, k):
                     codec_check.record((nu, d, k))
                 clock.lap(codec_check)
+                images_ok = images_ok and distinct == len(words)
+                rows += len(words)
+                for f, n, parts in families:
+                    for beta in words:
+                        image = codec.image_of_word(f.kind, beta, d)
+                        if not (
+                            sum(image) == n
+                            and parts.issuperset(image)
+                            and codec.word_of_image(f.kind, image, d) == beta
+                        ):
+                            images_ok = False
+                clock.lap(images)
             if images_ok:
                 images_ok = all(
-                    _same_rows(sorted(seen[f.kind]), compgen.enum_family(f, n))
-                    for f, n in _families(nu, d)
+                    _ascending_count(compgen.enum_family(f, n)) == rows for f, n, _ in families
                 )
             if not images_ok:
                 images.record((nu, d))

@@ -175,6 +175,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("--nu-max", "2", "--d-max", "0"), "d_max must be >= 1, got 0"),
+            (("--nu-max", "2", "--d-max", "-3"), "d_max must be >= 1, got -3"),
+            (("--nu-max", "0"), "nu_max must be >= 1, got 0"),
+        ],
+    )
+    def test_empty_grid_fails(self, capsys, bounds, message):
+        code, out, err = run(capsys, "verify", *bounds)
+        assert code == 1
+        assert "OK" not in out
+        assert err.strip() == f"error: {message}"
+
 
 class TestExitCodes:
     def test_domain_error_is_one(self, capsys):

@@ -8,6 +8,9 @@ from colorcomp import (
     ColoredComposition,
     ColorCompError,
     WeightSeq,
+    check_bijections,
+    check_counts,
+    check_phi,
     count_pd,
     count_pd_k,
     enum_family,
@@ -93,6 +96,9 @@ REJECTED = [
     ("fractional part in admits", lambda: AtLeastM(3).admits(3.5)),
     ("bool part in admits", lambda: OneModM(3).admits(True)),
     ("string part in admits", lambda: AtLeastM(3).admits("3")),
+    ("float nu_max in check_counts", lambda: check_counts(2.0, 2)),
+    ("bool d_max in check_phi", lambda: check_phi(3, True)),
+    ("string phi_n_max in check_bijections", lambda: check_bijections(2, 2, "4")),
 ]
 
 

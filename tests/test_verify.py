@@ -1,6 +1,10 @@
 """The cross-check harness itself: reports, determinism, serialization."""
 
+import gc
 import json
+import tracemalloc
+
+import pytest
 
 from colorcomp import (
     bell,
@@ -10,9 +14,11 @@ from colorcomp import (
     cli,
     closedform,
     codec,
+    compgen,
     count_pd,
     golden_tables,
 )
+from colorcomp.errors import DomainError
 from colorcomp.verify import CheckReport, CheckResult
 
 
@@ -27,6 +33,26 @@ def count_encodes(monkeypatch):
 
     monkeypatch.setattr(codec, "to_binary", counted)
     return calls
+
+
+# Wrong enum_family streams, each applied to every (family, n), with the
+# failures and first counterexample each gives the image check of
+# check_bijections(5, 2).  At nu = 1 every family has one composition, so
+# swapping the first two rows changes nothing there.
+WRONG_STREAMS = {
+    "last-row-dropped": (lambda rows: rows[:-1], 10, (1, 1)),
+    "last-row-duplicated": (lambda rows: rows + rows[-1:], 10, (1, 1)),
+    "first-two-swapped": (lambda rows: [*rows[1::-1], *rows[2:]], 8, (2, 1)),
+    "first-row-repeated": (lambda rows: rows[:1] + rows[:-1], 8, (2, 1)),
+}
+
+
+def wrong_stream(monkeypatch, mutate):
+    """Make compgen.enum_family yield ``mutate`` of its rows."""
+    enum = compgen.enum_family
+    monkeypatch.setattr(
+        compgen, "enum_family", lambda family, n: iter(mutate(list(enum(family, n))))
+    )
 
 
 class TestCheckCounts:
@@ -84,6 +110,14 @@ class TestCheckCounts:
         assert (fourway.failures, fourway.counterexample) == (3, (5, 1))
         assert prop_bell.passed and enum_eq.passed
 
+    @pytest.mark.parametrize("name", WRONG_STREAMS)
+    def test_enumeration_size_catches_a_wrong_stream(self, monkeypatch, name):
+        mutate, failures, first = WRONG_STREAMS[name]
+        wrong_stream(monkeypatch, mutate)
+        fourway, prop_bell, enum_eq = check_counts(5, 2).checks
+        assert (enum_eq.failures, enum_eq.counterexample) == (failures, first)
+        assert fourway.passed and prop_bell.passed
+
 
 class TestCheckBijections:
     def test_small_grid_passes(self):
@@ -101,10 +135,104 @@ class TestCheckBijections:
         rows = sum(count_pd(nu, d) for nu in range(1, 6) for d in range(1, 4))
         assert calls[0] == rows
 
+    # Each wrong map or stream below leaves the codec intact, so only the
+    # image check may fail.
+    def image_check(self, failures, first):
+        codec_check, images = check_bijections(5, 2).checks[-2:]
+        assert codec_check.passed
+        assert images.name == "family map images equal enumerations"
+        assert (images.failures, images.counterexample) == (failures, first)
+
+    # A consistent image/word pair whose images carry one extra part: m
+    # breaks the 'ge' total, and 0 keeps the 'mod' total but breaks its
+    # part rule.
+    @pytest.mark.parametrize("kind, extra", [("ge", lambda m: m), ("mod", lambda m: 0)])
+    def test_image_check_catches_images_outside_the_family(self, monkeypatch, kind, extra):
+        rules = closedform.FAMILIES[kind]
+        wrong = rules._replace(
+            image=lambda beta, m: rules.image(beta, m) + (extra(m),),
+            word=lambda parts, m: rules.word(parts[:-1], m),
+        )
+        monkeypatch.setitem(closedform.FAMILIES, kind, wrong)
+        assert codec.word_of_image(kind, codec.image_of_word(kind, "0101", 2), 2) == "0101"
+        self.image_check(10, (1, 1))
+
+    @pytest.mark.parametrize("name", WRONG_STREAMS)
+    def test_image_check_catches_a_wrong_stream(self, monkeypatch, name):
+        mutate, failures, first = WRONG_STREAMS[name]
+        wrong_stream(monkeypatch, mutate)
+        self.image_check(failures, first)
+
+    def test_image_check_catches_two_rows_with_one_image(self, monkeypatch):
+        image_of_word = codec.image_of_word
+
+        def merged(kind, beta, d):  # 0101 and 0011 encode 3^2 and 3^1 at d = 2
+            return image_of_word(kind, "0011" if beta == "0101" else beta, d)
+
+        monkeypatch.setattr(codec, "image_of_word", merged)
+        self.image_check(1, (3, 2))
+
+    # The image check counts one image per row, so it needs the rows, and
+    # hence their words, to be distinct: a repeated row or a word that does
+    # not decode to its row fails it, not only the codec check.
+    def test_image_check_catches_a_repeated_row(self, monkeypatch):
+        enum = compgen.enum_colored
+
+        def repeated(nu, d, k=None):
+            rows = list(enum(nu, d, k))
+            if (nu, d, k) == (3, 2, 1):
+                rows[1] = rows[0]
+            return iter(rows)
+
+        monkeypatch.setattr(compgen, "enum_colored", repeated)
+        codec_check, images = check_bijections(5, 2).checks[-2:]
+        assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
+        assert (images.failures, images.counterexample) == (1, (3, 2))
+
+    def test_image_check_catches_a_word_that_decodes_to_another_row(self, monkeypatch):
+        decode = codec.from_binary
+        monkeypatch.setattr(
+            codec, "from_binary", lambda beta, d: decode("0011" if beta == "0101" else beta, d)
+        )
+        codec_check, images = check_bijections(5, 2).checks[-2:]
+        assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
+        assert (images.failures, images.counterexample) == (1, (3, 2))
+
+    # Holding three sets of every image of a grid point peaks at 2.35 MB
+    # here; holding one part count's words peaks at 1.40 MB.  A full
+    # collection first empties the interpreter's free lists: objects reused
+    # from them were allocated before tracing began and would not count.
+    def test_holds_no_image_set(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert check_bijections(7, 3).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8e6
+
     def test_phi_alone(self):
         report = check_phi(10, 4)
         assert report.ok
         assert all(c.cells > 0 for c in report.checks)
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_counts, (0, 2)),
+        (check_counts, (2, -3)),
+        (check_phi, (0, 1)),
+        (check_phi, (3, 0)),
+        (check_bijections, (0, 2)),
+        (check_bijections, (2, 0)),
+        (check_bijections, (2, 2, 0)),
+    ],
+)
+def test_empty_grid_is_a_domain_error(check, args):
+    with pytest.raises(DomainError, match="must be >= 1"):
+        check(*args)
 
 
 class TestGoldenTables:
