@@ -20,6 +20,7 @@ from .closedform import (
     num_colors,
 )
 from .codec import (
+    enum_words,
     from_binary,
     image_of_word,
     map_ge_m,

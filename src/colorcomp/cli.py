@@ -72,15 +72,14 @@ def _cmd_count(args):
 
 def _emit_colored_row(alpha, word, image, fmt, writer):
     if fmt == "json":
-        row = {
-            "parts": [{"size": s, "color": c} for s, c in alpha.parts],
-            "d": alpha.d,
-        }
+        # Every value is an int or a 0/1 string, so this is json.dumps's text.
+        parts = ", ".join([f'{{"size": {s}, "color": {c}}}' for s, c in alpha.parts])
+        line = f'{{"parts": [{parts}], "d": {alpha.d}'
         if word is not None:
-            row["word"] = word
+            line += f', "word": "{word}"'
         if image is not None:
-            row["image"] = list(image)
-        print(json.dumps(row))
+            line += f', "image": [{", ".join(map(str, image))}]'
+        print(line + "}")
         return
     fields = [str(alpha)]
     if word is not None:
@@ -98,9 +97,11 @@ def _cmd_list(args):
     writer = csv.writer(sys.stdout) if fmt == "csv" else None
     if args.what == "colored":
         kind = args.map_to
-        with_word = args.with_word or kind is not None
-        for alpha in compgen.enum_colored(args.nu, args.d, args.k):
-            word = codec.to_binary(alpha) if with_word else None
+        if args.with_word or kind is not None:
+            rows = codec.enum_words(args.nu, args.d, args.k)
+        else:
+            rows = ((alpha, None) for alpha in compgen.enum_colored(args.nu, args.d, args.k))
+        for alpha, word in rows:
             image = codec.image_of_word(kind, word, args.d) if kind else None
             _emit_colored_row(alpha, word, image, fmt, writer)
     else:  # family
@@ -140,7 +141,10 @@ def _cmd_verify(args):
     report = verify.golden_tables()
     report.merge(verify.check_counts(args.nu_max, args.d_max))
     report.merge(verify.check_bijections(args.nu_max, args.d_max))
-    print(report.to_json() if args.format == "json" else report.to_text())
+    if args.format == "json":
+        print(report.to_json(grid={"nu_max": args.nu_max, "d_max": args.d_max}))
+    else:
+        print(report.to_text())
     return 0 if report.ok else 1
 
 
@@ -156,8 +160,9 @@ def build_parser():
     c_pd = count_sub.add_parser("pd", help="polytopic-color compositions")
     c_pd.add_argument("--nu", type=int, required=True)
     c_pd.add_argument("--d", type=int, required=True)
-    c_pd.add_argument("--k", type=int)
-    c_pd.add_argument("--by-parts", action="store_true")
+    k_or_all = c_pd.add_mutually_exclusive_group()
+    k_or_all.add_argument("--k", type=int)
+    k_or_all.add_argument("--by-parts", action="store_true")
     c_fam = count_sub.add_parser("family", help="restricted composition families")
     c_fam.add_argument("--kind", choices=sorted(KINDS), required=True)
     c_fam.add_argument("--m", type=int, required=True)
@@ -165,8 +170,9 @@ def build_parser():
     c_w = count_sub.add_parser("weighted", help="general weighted compositions")
     c_w.add_argument("--n", type=int, required=True)
     c_w.add_argument("--weights", required=True, help="comma list or file path")
-    c_w.add_argument("--k", type=int)
-    c_w.add_argument("--by-parts", action="store_true")
+    k_or_all = c_w.add_mutually_exclusive_group()
+    k_or_all.add_argument("--k", type=int)
+    k_or_all.add_argument("--by-parts", action="store_true")
 
     p_list = sub.add_parser("list", help="enumerate in canonical order")
     list_sub = p_list.add_subparsers(dest="what", required=True)

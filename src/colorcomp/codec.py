@@ -8,8 +8,9 @@ has ones at the unique positions c_d > ... > c_1 >= 0 with
 
     m - 1 = C(c_d, d) + ... + C(c_1, 1).
 
-On top of that sit the colored-composition <-> binary-word codec and the
-three maps onto restricted composition families.  Each family map is a
+On top of that sit the colored-composition <-> binary-word codec, a
+stream of every colored composition of nu with its word, and the three
+maps onto restricted composition families.  Each family map is a
 word-level pair, ``image_of_word``/``word_of_image``, composed with the
 codec; both sides read their kind's row of ``closedform.FAMILIES``.
 """
@@ -17,7 +18,9 @@ codec; both sides read their kind's row of ``closedform.FAMILIES``.
 from __future__ import annotations
 
 from math import comb
+from operator import index
 
+from . import compgen
 from .closedform import kind_rules
 from .compgen import ColoredComposition
 from .errors import DomainError, InputError, InternalError, as_int
@@ -27,6 +30,7 @@ __all__ = [
     "rank_word",
     "to_binary",
     "from_binary",
+    "enum_words",
     "image_of_word",
     "word_of_image",
     "map_ones_m",
@@ -125,6 +129,33 @@ def to_binary(alpha):
     except AttributeError:
         raise InputError(f"expected a ColoredComposition, got {alpha!r}") from None
     return "1".join([_unrank(c - 1, s + d - 1, d) for s, c in parts])
+
+
+class _PartWords(dict):
+    """The word of each part (size, color) at one d, unranked on first lookup."""
+
+    def __init__(self, d):
+        super().__init__()
+        self.d = d
+
+    def __missing__(self, part):
+        size, color = part
+        d = index(self.d)  # checked by enum_colored before the first row
+        word = self[part] = _unrank(color - 1, size + d - 1, d)
+        return word
+
+
+def enum_words(nu, d, k=None):
+    """Yield (alpha, to_binary(alpha)) for each alpha of enum_colored(nu, d, k), in order.
+
+    A part's word depends only on its size and color, so each is unranked
+    once, the first time a row carries it, and every later row joins the
+    stored words.  Each stored (size, color) begins a row of its own, so
+    the table never holds more words than the stream has rows.
+    """
+    words = _PartWords(d)
+    for alpha in compgen.enum_colored(nu, d, k):
+        yield alpha, "1".join([words[part] for part in alpha.parts])
 
 
 def from_binary(beta, d):

@@ -81,11 +81,21 @@ class CheckReport:
         )
         return "\n".join(lines)
 
-    def to_json(self):
+    def to_json(self, grid=None):
+        """The report as JSON; ``meta`` names the package and Python versions and ``grid``."""
+        import platform  # here, not at the top: it would add to every import of the package
+
+        from . import __version__  # the package has finished importing once a report exists
+
         return json.dumps(
             {
                 "ok": self.ok,
                 "elapsed": self.elapsed,
+                "meta": {
+                    "version": __version__,
+                    "python": platform.python_version(),
+                    "grid": grid,
+                },
                 "checks": [
                     {
                         "name": c.name,
@@ -229,9 +239,11 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     the rows of (nu, d) onto its family, by a counting argument that holds
     no image.
 
-    Each grid point is enumerated once, part count by part count.  Each row
-    is encoded once into the part count's list of words, and the three
-    family images come from that word; the clock laps once per part count
+    Each grid point is enumerated once, part count by part count, with
+    the words of ``enum_words``, the listing's encoder; each row's word must
+    also equal ``to_binary`` of the row, so the two encoders check each
+    other.  The part count's words are kept in one list, and the three
+    family images come from them; the clock laps once per part count
     for the codec check and once for the image check.  A family inverse is
     ``from_binary`` after ``word_of_image``, so checking
     ``word_of_image(image) == beta`` next to ``from_binary(beta) == alpha``
@@ -266,10 +278,14 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
                 length, ones = nu + d * k - 1, (d + 1) * k - 1
                 words = []
                 ok = True
-                for alpha in compgen.enum_colored(nu, d, k):
-                    beta = codec.to_binary(alpha)
+                for alpha, beta in codec.enum_words(nu, d, k):
                     decoded = codec.from_binary(beta, d) == alpha
-                    if not decoded or len(beta) != length or beta.count("1") != ones:
+                    if (
+                        not decoded
+                        or codec.to_binary(alpha) != beta
+                        or len(beta) != length
+                        or beta.count("1") != ones
+                    ):
                         ok = False
                     images_ok = images_ok and decoded
                     words.append(beta)
@@ -327,8 +343,7 @@ def golden_tables():
     result = CheckResult("golden 13-row correspondence (nu=3, d=2)", "nu=3, d=2", 0)
     clock = _Clock()
     generated = []
-    for alpha in compgen.enum_colored(3, 2):
-        beta = codec.to_binary(alpha)
+    for alpha, beta in codec.enum_words(3, 2):
         images = tuple(codec.image_of_word(kind, beta, 2) for kind in KINDS)
         generated.append((str(alpha), beta, *images))
     result.cells = max(len(generated), len(GOLDEN_NU3_D2))

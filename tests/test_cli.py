@@ -2,8 +2,10 @@
 
 import csv
 import io
+import itertools
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 
 import colorcomp
 from colorcomp.cli import main
+from colorcomp.closedform import KINDS
 
 
 def run(capsys, *argv):
@@ -46,6 +49,20 @@ class TestCount:
         )
         assert (code, out) == (1, "") and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "pd", "--nu", "3", "--d", "2"),
+            ("count", "weighted", "--n", "5", "--weights", "1,1,0,0,0"),
+        ],
+    )
+    def test_k_with_by_parts_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--k", "2", "--by-parts"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert "argument --by-parts: not allowed with argument --k" in captured.err
+
     def test_by_parts_rejects_nonpositive_n(self, capsys):
         for argv in (
             ("count", "pd", "--nu", "0", "--d", "2"),
@@ -79,6 +96,18 @@ class TestCount:
         code, out, _ = run(capsys, "count", "pd", "--nu", "80", "--d", "5")
         assert code == 0
         assert out.strip().isdigit() and len(out.strip()) > 20
+
+
+def json_row(alpha, with_word, kind):
+    """A ``list colored --format json`` line built as a dict passed to json.dumps,
+    the oracle of the CLI's direct formatting."""
+    row = {"parts": [{"size": s, "color": c} for s, c in alpha.parts], "d": alpha.d}
+    word = colorcomp.to_binary(alpha)
+    if with_word or kind:
+        row["word"] = word
+    if kind:
+        row["image"] = list(colorcomp.image_of_word(kind, word, alpha.d))
+    return json.dumps(row)
 
 
 class TestList:
@@ -120,6 +149,19 @@ class TestList:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["2^1", "011"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_colored_json_is_json_dumps(self, capsys, nu, d):
+        for with_word, kind, k in itertools.product(
+            (False, True), (None, *KINDS), (None, *range(1, nu + 1))
+        ):
+            argv = ["list", "colored", "--nu", str(nu), "--d", str(d), "--format", "json"]
+            argv += ["--with-word"] * with_word + ["--map-to", kind] * bool(kind)
+            argv += ["--k", str(k)] * bool(k)
+            code, out, _ = run(capsys, *argv)
+            want = [json_row(alpha, with_word, kind) for alpha in colorcomp.enum_colored(nu, d, k)]
+            assert (code, out.splitlines()) == (0, want), argv
 
     def test_family(self, capsys):
         code, out, _ = run(
@@ -173,7 +215,13 @@ class TestVerify:
             capsys, "verify", "--nu-max", "2", "--d-max", "2", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out)["ok"] is True
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert report["meta"] == {
+            "version": colorcomp.__version__,
+            "python": platform.python_version(),
+            "grid": {"nu_max": 2, "d_max": 2},
+        }
 
     @pytest.mark.parametrize(
         "bounds, message",
@@ -207,18 +255,36 @@ class TestExitCodes:
         assert excinfo.value.code == 2
 
 
-def test_closed_pipe_exits_quietly():
-    """``colorcomp list colored --nu 10 --d 3 | head -1``: no traceback, exit 0."""
+def read_first_line(*argv):
+    """``colorcomp <argv> | head -1``: the first line, after which the reader goes away."""
     env = dict(os.environ, PYTHONPATH=str(Path(colorcomp.__file__).parents[1]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "colorcomp.cli", "list", "colored", "--nu", "10", "--d", "3"],
+        [sys.executable, "-m", "colorcomp.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.readline() == b"10^1\n"
+    line = proc.stdout.readline()
     proc.stdout.close()  # the reader goes away while rows are still being written
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err and b"Error" not in err
+    return line
+
+
+def test_closed_pipe_exits_quietly():
+    """``colorcomp list colored --nu 10 --d 3 | head -1``: no traceback, exit 0."""
+    assert read_first_line("list", "colored", "--nu", "10", "--d", "3") == b"10^1\n"
+
+
+def test_closed_pipe_exits_quietly_on_json_words():
+    line = read_first_line(
+        "list", "colored", "--nu", "10", "--d", "3", "--map-to", "ge", "--format", "json"
+    )
+    assert json.loads(line) == {
+        "parts": [{"size": 10, "color": 1}],
+        "d": 3,
+        "word": "000000000111",
+        "image": [4] * 9 + [7],
+    }

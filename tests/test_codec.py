@@ -1,5 +1,7 @@
 """Rank/unrank and the bijective maps: golden rows, round trips, error paths."""
 
+import re
+from itertools import islice
 from math import comb
 
 import pytest
@@ -7,10 +9,12 @@ from hypothesis import given, strategies as st
 
 from colorcomp import (
     ColoredComposition,
+    ColorCompError,
     DomainError,
     InputError,
     enum_colored,
     enum_family,
+    enum_words,
     from_binary,
     map_ge_m,
     map_ge_m_inv,
@@ -138,6 +142,40 @@ class TestBinaryCodec:
                     ones = (d + 1) * k - 1
                     expected = comb(length, ones)
                     assert len(words) == expected
+
+
+def encoded(nu, d, k=None):
+    """The reference for enum_words: every row of enum_colored with to_binary of it."""
+    return ((alpha, to_binary(alpha)) for alpha in enum_colored(nu, d, k))
+
+
+class TestEnumWords:
+    def test_equals_to_binary_on_every_row(self):
+        for nu in range(1, 8):
+            for d in range(1, 4):
+                for k in (None, *range(1, nu + 1)):
+                    assert list(enum_words(nu, d, k)) == list(encoded(nu, d, k)), (nu, d, k)
+
+    # Past the exhaustive grid the streams run to millions of rows, so each
+    # draw compares the first 2000.
+    @given(st.integers(1, 12), st.integers(1, 6), st.data())
+    def test_equals_to_binary_under_hypothesis(self, nu, d, data):
+        k = data.draw(st.none() | st.integers(1, nu))
+        assert list(islice(enum_words(nu, d, k), 2000)) == list(islice(encoded(nu, d, k), 2000))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, 2, None), (-1, 2, None), (True, 2, None), (2.0, 2, None),
+            (3, 0, None), (3, -2, None), (3, True, None), (3, 1.5, None),
+            (3, 2, 0), (3, 2, 4), (3, 2, True), (3, 2, 1.0),
+        ],
+    )
+    def test_rejects_what_enum_colored_rejects(self, args):
+        with pytest.raises(ColorCompError) as want:
+            list(enum_colored(*args))
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            list(enum_words(*args))
 
 
 class TestFamilyMaps:

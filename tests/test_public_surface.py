@@ -16,7 +16,7 @@ PUBLIC = {
         "count_pd", "count_family",
     ],
     codec: [
-        "unrank_word", "rank_word", "to_binary", "from_binary", "image_of_word",
+        "unrank_word", "rank_word", "to_binary", "from_binary", "enum_words", "image_of_word",
         "word_of_image", "map_ones_m", "map_ones_m_inv", "map_mod_m", "map_mod_m_inv",
         "map_ge_m", "map_ge_m_inv",
     ],

@@ -3,6 +3,7 @@
 import gc
 import json
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -189,6 +190,35 @@ class TestCheckBijections:
         assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
+    # verify takes each row's word from enum_words, the listing's encoder,
+    # and checks it against to_binary as well as by decoding it.
+    def test_codec_check_catches_swapped_words(self, monkeypatch):
+        enum = codec.enum_words
+
+        def swapped(nu, d, k=None):
+            rows = list(enum(nu, d, k))
+            if (nu, d, k) == (3, 2, 1):  # 3^1 gets 0101 and 3^2 gets 0011
+                (first, word), (second, other) = rows[:2]
+                rows[:2] = [(first, other), (second, word)]
+            return iter(rows)
+
+        monkeypatch.setattr(codec, "enum_words", swapped)
+        codec_check, images = check_bijections(5, 2).checks[-2:]
+        assert codec_check.name == "binary codec round trip and image"
+        assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
+        assert (images.failures, images.counterexample) == (1, (3, 2))
+
+    def test_codec_check_catches_a_wrong_to_binary(self, monkeypatch):
+        encode = codec.to_binary
+
+        def wrong(alpha):
+            return "0011" if (alpha.d, str(alpha)) == (2, "3^2") else encode(alpha)
+
+        monkeypatch.setattr(codec, "to_binary", wrong)
+        codec_check, images = check_bijections(5, 2).checks[-2:]
+        assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
+        assert images.passed
+
     def test_image_check_catches_a_word_that_decodes_to_another_row(self, monkeypatch):
         decode = codec.from_binary
         monkeypatch.setattr(
@@ -276,7 +306,8 @@ class TestReport:
         data = json.loads(report.to_json())
         assert [t["name"] for t in data["timings"]] == [c["name"] for c in data["checks"]]
         assert all(t["elapsed"] > 0 and t["cells_per_s"] > 0 for t in data["timings"])
-        assert set(data) == {"ok", "elapsed", "checks", "timings"}
+        assert set(data) == {"ok", "elapsed", "meta", "checks", "timings"}
+        assert set(data["meta"]) == {"version", "python", "grid"}
         assert set(data["checks"][0]) == {
             "name", "grid", "cells", "passed", "failures", "counterexample",
         }
@@ -290,8 +321,19 @@ class TestReport:
         assert merged.ok
 
 
+# The listing builds each row's word by joining part words, each unranked
+# once: C(nu + d, d + 1) of them, one per (size, color) of sizes 1..nu.
 def test_list_with_map_encodes_each_row_once(monkeypatch, capsys):
-    calls = count_encodes(monkeypatch)
+    encodes = count_encodes(monkeypatch)
+    unranks = [0]
+    unrank = codec._unrank
+
+    def counted(remainder, n, d):
+        unranks[0] += 1
+        return unrank(remainder, n, d)
+
+    monkeypatch.setattr(codec, "_unrank", counted)
     assert cli.main(["list", "colored", "--nu", "5", "--d", "2", "--map-to", "ge"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert calls[0] == len(rows) == count_pd(5, 2)
+    assert len(capsys.readouterr().out.splitlines()) == count_pd(5, 2)
+    assert encodes[0] == 0
+    assert unranks[0] == comb(5 + 2, 2 + 1) == 35
