@@ -150,23 +150,37 @@ def require_prefix(w, n):
         raise InputError(f"weight prefix of length {len(w)} too short for n={n}")
 
 
+# The last (w, n, k, row k) weighted_count_k built.  It is read once and
+# replaced whole, so an interleaved or concurrent caller misses it and
+# rebuilds rows 1..k, never takes a wrong row.
+_row_last = None
+
+
 def weighted_count_k(w, n, k):
     """Number of w-color compositions of n with exactly k parts.
 
     C_k(n) of the convolution C_i(j) = sum_s w_s * C_{i-1}(j - s), C_0(0) = 1.
     Row i keeps only the cells i <= j <= n - k + i that can still reach n,
-    stored at offset j - i.
+    stored at offset j - i.  A sweep k = 1, 2, ... with the same ``w``
+    object and n continues from the previous call's row k-1, cut to this
+    band, with one convolution step.
     """
+    global _row_last
     n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 1 or k > n:
         raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     require_prefix(w, n)
     width = n - k + 1
     ws = [w[s] for s in range(1, width + 1)]  # ws[t] = w_{t+1}
-    row = ws  # C_1(j) = w_j
-    for _ in range(k - 1):
+    last = _row_last
+    if last is not None and last[0] is w and last[1:3] == (n, k - 1):
+        row, steps = last[3][:width], 1
+    else:
+        row, steps = ws, k - 1  # C_1(j) = w_j
+    for _ in range(steps):
         # Offset t sums w_{t+1-u} * row[u] over u <= t; map stops at the shorter slice.
         row = [sum(map(mul, ws[t::-1], row)) for t in range(width)]
+    _row_last = (w, n, k, row)
     return row[-1]
 
 

@@ -27,8 +27,11 @@ _MAPS = {
 def _parse_weights(spec, n):
     """Weights from a comma list or a file with one integer per line."""
     if os.path.isfile(spec):
-        with open(spec) as fh:
-            entries = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(spec) as fh:
+                entries = [line.strip() for line in fh if line.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read weights file {spec!r}: {exc}") from None
     else:
         entries = [tok.strip() for tok in spec.split(",") if tok.strip()]
     try:
@@ -223,6 +226,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact decimal at any size, not just 4300 digits
     args = build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)

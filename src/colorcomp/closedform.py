@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, InputError, as_int
+from .errors import DomainError, InputError, InternalError, as_int
 
 __all__ = [
     "Family",
@@ -170,14 +170,46 @@ def num_colors(size, d):
     return comb(size + d - 1, d)
 
 
+def _pd_step_factors(nu, d, k):
+    """Factors of C(nu+dk-1, nu-k) / C(N, K), with N = nu+d(k-1)-1 and K = nu-k+1.
+
+    The ratio is K (N+1)...(N+d) / ((N-K+1)...(N-K+d+1)): d+1 small factors
+    above and below.
+    """
+    n, top = nu + d * (k - 1) - 1, nu - k + 1
+    return (top, *range(n + 1, n + d + 1)), range(n - top + 1, n - top + d + 2)
+
+
+# The last (nu, d, k, value) count_pd_k computed.  It is read once and
+# replaced whole, so an interleaved or concurrent caller misses it and pays
+# one comb, never a wrong value.
+_pd_last = None
+
+
 def count_pd_k(nu, d, k):
-    """Polytopic-color compositions of nu with exactly k parts: C(nu+dk-1, nu-k)."""
+    """Polytopic-color compositions of nu with exactly k parts: C(nu+dk-1, nu-k).
+
+    A sweep k = 1, 2, ... at fixed (nu, d) steps each value from the one
+    before with d+1 small factors and one checked division.  Where
+    2d >= nu - k a fresh ``comb`` costs less, so the step is taken only
+    below that line.
+    """
+    global _pd_last
     nu, d, k = as_int(nu, "nu"), as_int(d, "d"), as_int(k, "k")
     if nu < 1 or d < 1 or k < 1:
         raise DomainError(f"need nu, d, k >= 1, got {nu}, {d}, {k}")
     if k > nu:
         return 0
-    return comb(nu + d * k - 1, nu - k)
+    last = _pd_last
+    if last is not None and last[:3] == (nu, d, k - 1) and 2 * d < nu - k:
+        num, den = _pd_step_factors(nu, d, k)
+        value, rest = divmod(last[3] * prod(num), prod(den))
+        if rest:
+            raise InternalError(f"inexact step to count_pd_k({nu}, {d}, {k})")
+    else:
+        value = comb(nu + d * k - 1, nu - k)
+    _pd_last = (nu, d, k, value)
+    return value
 
 
 def count_pd(nu, d):

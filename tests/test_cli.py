@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import colorcomp
+from colorcomp import cli
 from colorcomp.cli import main
-from colorcomp.closedform import KINDS
+from colorcomp.closedform import AtLeastM, KINDS
 
 
 def run(capsys, *argv):
@@ -96,6 +97,26 @@ class TestCount:
         code, out, _ = run(capsys, "count", "pd", "--nu", "80", "--d", "5")
         assert code == 0
         assert out.strip().isdigit() and len(out.strip()) > 20
+
+    def test_weights_file_not_text(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_bytes(b"\xff\xfe1\n2\n")
+        code, out, err = run(capsys, "count", "weighted", "--n", "2", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_weights_file_unreadable(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "weights.txt"
+        path.write_text("1\n2\n")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        code, out, err = run(capsys, "count", "weighted", "--n", "2", "--weights", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Permission denied" in err
 
 
 def json_row(alpha, with_word, kind):
@@ -288,3 +309,56 @@ def test_closed_pipe_exits_quietly_on_json_words():
         "word": "000000000111",
         "image": [4] * 9 + [7],
     }
+
+
+def run_process(*argv):
+    """``colorcomp <argv>`` in a fresh interpreter, with its default digit limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(colorcomp.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorcomp.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def exact_decimal():
+    """Lift this interpreter's int-to-str digit limit to write the expected outputs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+# Rank cost grows with the number of ones, so few ones and a long run of zeros.
+ONES_THEN_ZEROS = "1" * 2000 + "0" * 120000
+HUGE = "9" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("count", "pd", "--nu", "12000", "--d", "1"), lambda: colorcomp.count_pd(12000, 1)),
+        (
+            ("count", "family", "--kind", "ge", "--m", "2", "--n", "30000"),
+            lambda: colorcomp.count_family(AtLeastM(2), 30000),
+        ),
+        (
+            ("rank", "--word", ONES_THEN_ZEROS, "--d", "2000"),
+            lambda: colorcomp.rank_word(ONES_THEN_ZEROS, 2000),
+        ),
+        (
+            ("count", "weighted", "--n", "2", "--weights", f"{HUGE},1", "--by-parts"),
+            lambda: f"k=1:1 k=2:{int(HUGE) ** 2}",
+        ),
+    ],
+    ids=["pd-total", "family", "rank", "weighted-by-parts"],
+)
+def test_counts_past_the_digit_limit_print_in_full(exact_decimal, argv, expected):
+    """Each output has an integer of more than 4300 digits, Python's default limit."""
+    code, out, err = run_process(*argv)
+    assert (code, err) == (0, "")
+    assert out == f"{expected()}\n"
+    assert max(len(token.rpartition(":")[2]) for token in out.split()) > 4300
