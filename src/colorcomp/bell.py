@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb, factorial
 from operator import mul
 
-from .errors import DomainError, InputError, InternalError, as_int
+from .errors import InputError, InternalError, as_int, checked
 
 __all__ = [
     "WeightSeq",
@@ -59,9 +59,7 @@ class WeightSeq:
     @classmethod
     def polytopic(cls, d, n):
         """Prefix of length n of the simplicial d-polytopic colors C(j+d-1, d)."""
-        d, n = as_int(d, "d"), as_int(n, "n")
-        if d < 1:
-            raise DomainError(f"d must be >= 1, got {d}")
+        n, d = as_int(n, "n"), checked(d, "d")
         return cls(tuple(comb(j + d - 1, d) for j in range(1, n + 1)))
 
     def __len__(self):
@@ -105,9 +103,7 @@ def partial_bell_table(n, x):
 
     Missing (a, b) keys are zero.
     """
-    n = as_int(n, "n")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    n = checked(n, "n", 0)
     table = {(0, 0): 1}
     # Only cells with a - b <= len(x) - 1 are computable from the given
     # prefix; cells outside that band are not needed for any such target.
@@ -128,9 +124,8 @@ def partial_bell(n, k, x):
     ``x`` is a sequence with ``x[0]`` = x_1; at least n - k + 1 entries
     are required.  Requires 1 <= k <= n.
     """
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if n < 1 or k < 1 or k > n:
-        raise DomainError(f"partial_bell requires 1 <= k <= n, got n={n}, k={k}")
+    n = checked(n, "n")
+    k = checked(k, "k", 1, n)
     if len(x) < n - k + 1:
         raise InputError(
             f"partial_bell(n={n}, k={k}) needs {n - k + 1} entries of x, got {len(x)}"
@@ -166,9 +161,8 @@ def weighted_count_k(w, n, k):
     band, with one convolution step.
     """
     global _row_last
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if n < 1 or k < 1 or k > n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    n = checked(n, "n")
+    k = checked(k, "k", 1, n)
     require_prefix(w, n)
     width = n - k + 1
     ws = [w[s] for s in range(1, width + 1)]  # ws[t] = w_{t+1}
@@ -186,10 +180,7 @@ def weighted_count_k(w, n, k):
 
 def weighted_count(w, n):
     """Total number of w-color compositions of n (all part counts)."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return invert_transform(w, n)[-1]
+    return invert_transform(w, checked(n, "n"))[-1]
 
 
 def invert_transform(w, n_max):
@@ -198,9 +189,7 @@ def invert_transform(w, n_max):
     Uses the convolution recurrence W_n = w_n + sum_i w_i * W_{n-i},
     the route :func:`weighted_count` takes.
     """
-    n_max = as_int(n_max, "n_max")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = checked(n_max, "n_max")
     require_prefix(w, n_max)
     ws = [w[s] for s in range(1, n_max + 1)]  # ws[i] = w_{i+1}
     result = []
@@ -230,9 +219,8 @@ def hoggatt_lind_count(w, n, k):
     partitions of n.  Exponential in n; serves as an oracle for
     :func:`weighted_count_k`.
     """
-    n, k = as_int(n, "n"), as_int(k, "k")
-    if n < 1 or k < 1 or k > n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    n = checked(n, "n")
+    k = checked(k, "k", 1, n)
     require_prefix(w, n)
     total = 0
     for partition in _partitions_k(n, k, n):

@@ -23,7 +23,7 @@ from math import comb, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, InputError, InternalError, as_int
+from .errors import DomainError, InputError, InternalError, as_int, checked
 
 __all__ = [
     "Family",
@@ -138,9 +138,7 @@ class Family:
 
     def __post_init__(self):
         kind_rules(self.kind)
-        object.__setattr__(self, "m", as_int(self.m, "m"))
-        if self.m < 2:
-            raise DomainError(f"family parameter m must be >= 2, got {self.m}")
+        object.__setattr__(self, "m", checked(self.m, "m", 2))
 
     def admits(self, part):
         """Whether a part of the given size is allowed in this family (never for size < 1)."""
@@ -165,8 +163,7 @@ def AtLeastM(m):
 
 def num_colors(size, d):
     """Colors available to a part of the given size: C(size + d - 1, d)."""
-    if size < 1 or d < 1:
-        raise DomainError(f"need size >= 1 and d >= 1, got {size}, {d}")
+    size, d = checked(size, "size"), checked(d, "d")
     return comb(size + d - 1, d)
 
 
@@ -195,9 +192,7 @@ def count_pd_k(nu, d, k):
     below that line.
     """
     global _pd_last
-    nu, d, k = as_int(nu, "nu"), as_int(d, "d"), as_int(k, "k")
-    if nu < 1 or d < 1 or k < 1:
-        raise DomainError(f"need nu, d, k >= 1, got {nu}, {d}, {k}")
+    nu, d, k = checked(nu, "nu"), checked(d, "d"), checked(k, "k")
     if k > nu:
         return 0
     last = _pd_last
@@ -220,9 +215,7 @@ def count_pd(nu, d):
     with P_n = 0 for n <= 0: no division, and only the first
     min(nu-1, d+1) coefficients are ever needed.
     """
-    nu, d = as_int(nu, "nu"), as_int(d, "d")
-    if nu < 1 or d < 1:
-        raise DomainError(f"need nu >= 1 and d >= 1, got {nu}, {d}")
+    nu, d = checked(nu, "nu"), checked(d, "d")
     r = min(nu - 1, d + 1)
     coeffs = [comb(d + 1, i) if i % 2 else -comb(d + 1, i) for i in range(1, r + 1)]
     window = deque([1], maxlen=max(r, 1))  # the last r of P_1, P_2, ...
@@ -252,7 +245,5 @@ def count_family(family, n):
     The generating functions are x^shift/(1-x-x^m) with shift 0 (ones),
     1 (mod) and m (ge); the row's closed-form ``count`` is the oracle.
     """
-    n = as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked(n, "n")
     return _ones_and_m(n - family_rules(family).shift(family.m), family.m)

@@ -23,7 +23,7 @@ from operator import index
 from . import compgen
 from .closedform import kind_rules
 from .compgen import ColoredComposition
-from .errors import DomainError, InputError, InternalError, as_int
+from .errors import InputError, InternalError, as_int, checked
 
 __all__ = [
     "unrank_word",
@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _check_d(d):
-    d = as_int(d, "d")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    return d
-
-
 def _check_word(word):
     if not isinstance(word, str):
         raise InputError(f"binary word must be a str, got {word!r}")
@@ -61,13 +54,9 @@ def unrank_word(m, n, d):
     c_j with C(c_j, j) <= remainder.  Requires 1 <= m <= C(n, d) and
     d <= n.
     """
-    m, n, d = as_int(m, "m"), as_int(n, "n"), as_int(d, "d")
-    if d < 1 or n < 1 or d > n:
-        raise DomainError(f"need 1 <= d <= n, got d={d}, n={n}")
-    total = comb(n, d)
-    if not 1 <= m <= total:
-        raise DomainError(f"rank {m} out of range 1..{total} for n={n}, d={d}")
-    return _unrank(m - 1, n, d)
+    n = checked(n, "n")
+    d = checked(d, "d", 1, n)
+    return _unrank(checked(m, "m", 1, comb(n, d)) - 1, n, d)
 
 
 def _unrank(remainder, n, d):
@@ -104,17 +93,12 @@ def _unrank(remainder, n, d):
 def rank_word(word, d):
     """1-based colex rank of a binary word with exactly d ones; inverts unrank_word."""
     _check_word(word)
-    d = _check_d(d)
-    rank, ones = 1, 0
-    for p, ch in enumerate(reversed(word)):
-        if ch == "1":
-            ones += 1
-            rank += comb(p, ones)
-        elif ch != "0":
-            raise InputError(f"binary word may contain only 0/1, got {word!r}")
+    d = checked(d, "d")
+    ones = word.count("1")
     if ones != d:
         raise InputError(f"word {word!r} has {ones} ones, expected {d}")
-    return rank
+    # A word with exactly d ones is one segment of the part codec.
+    return from_binary(word, d).parts[0][1]
 
 
 def to_binary(alpha):
@@ -168,7 +152,7 @@ def from_binary(beta, d):
     segment already holds d ones is a separator.
     """
     _check_word(beta)
-    d = _check_d(d)
+    d = checked(d, "d")
     parts = []
     rank, ones, start = 1, 0, len(beta)  # the current segment is beta[i + 1:start]
     for i in range(len(beta) - 1, -1, -1):
@@ -203,7 +187,7 @@ def image_of_word(kind, beta, d):
     """
     image = kind_rules(kind).image
     _check_word(beta)
-    d = _check_d(d)
+    d = checked(d, "d")
     ones = beta.count("1")
     if ones + beta.count("0") != len(beta):
         raise InputError(f"binary word may contain only 0/1, got {beta!r}")
@@ -215,10 +199,11 @@ def image_of_word(kind, beta, d):
 def word_of_image(kind, parts, d):
     """The codeword whose family image is ``parts``; inverts image_of_word.
 
-    Rejects parts outside the family of ``kind`` for this d.
+    Rejects parts outside the family of ``kind`` for this d, and parts
+    whose total is no image total for d: their word is no codeword.
     """
     word = kind_rules(kind).word
-    d = _check_d(d)
+    d = checked(d, "d")
     try:
         parts = tuple(parts)
     except TypeError:
@@ -227,7 +212,10 @@ def word_of_image(kind, parts, d):
         raise InputError("empty composition")
     if set(map(type, parts)) != {int}:  # one C-level pass in the common all-int case
         parts = tuple(as_int(p, "part") for p in parts)
-    return word(parts, d + 1)
+    beta = word(parts, d + 1)
+    if (beta.count("1") + 1) % (d + 1):
+        raise InputError(f"parts summing to {sum(parts)} are not a {kind} image for d={d}")
+    return beta
 
 
 def map_ones_m(alpha):

@@ -13,7 +13,7 @@ from itertools import product
 
 from .bell import require_prefix
 from .closedform import family_rules, num_colors
-from .errors import DomainError, InputError, as_int
+from .errors import InputError, as_int, checked
 
 __all__ = ["ColoredComposition", "enum_colored", "enum_family", "enum_weighted"]
 
@@ -29,12 +29,9 @@ class ColoredComposition:
     parts: tuple
 
     def __post_init__(self):
-        d = as_int(self.d, "d")
-        if d < 1:
-            raise DomainError(f"d must be >= 1, got {d}")
+        object.__setattr__(self, "d", checked(self.d, "d"))
         if not self.parts:
             raise InputError("a composition needs at least one part")
-        object.__setattr__(self, "d", d)
         try:
             parts = tuple(map(_int_pair, self.parts))
         except TypeError:
@@ -111,14 +108,8 @@ def enum_colored(nu, d, k=None):
     tuples in descending lexicographic order; within fixed sizes, color
     tuples ascending with the leftmost color most significant.
     """
-    nu, d = as_int(nu, "nu"), as_int(d, "d")
-    if nu < 1 or d < 1:
-        raise DomainError(f"need nu >= 1 and d >= 1, got {nu}, {d}")
-    if k is not None:
-        k = as_int(k, "k")
-        if not 1 <= k <= nu:
-            raise DomainError(f"need 1 <= k <= nu, got k={k}, nu={nu}")
-    part_counts = range(1, nu + 1) if k is None else (k,)
+    nu, d = checked(nu, "nu"), checked(d, "d")
+    part_counts = range(1, nu + 1) if k is None else (checked(k, "k", 1, nu),)
     for kk in part_counts:
         for sizes in _size_tuples_desc(nu, kk):
             ranges = [range(1, num_colors(s, d) + 1) for s in sizes]
@@ -131,9 +122,7 @@ def enum_family(family, n):
 
     Yields plain tuples of part sizes.
     """
-    n = as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked(n, "n")
     admits = family_rules(family).admits
     sizes = [s for s in range(1, n + 1) if admits(s, family.m)]
     return _compositions_from(sizes, n)
@@ -170,9 +159,7 @@ def enum_weighted(w, n):
     zero never appear.  Order: first part ascending by (size, color),
     then recursively.
     """
-    n = as_int(n, "n")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = checked(n, "n")
     require_prefix(w, n)
 
     def _walk(remaining):

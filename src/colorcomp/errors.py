@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all colorcomp modules, and the strict
-integer coercion every public entry point applies to its integer arguments."""
+integer coercion and range check every public entry point applies to its
+integer arguments."""
 
 from operator import index
 
@@ -38,3 +39,19 @@ def as_int(value, name):
         except TypeError:
             pass
     raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def checked(value, name, low=1, high=None):
+    """``value`` as an int in low..high (no upper bound when ``high`` is None).
+
+    Coerces as :func:`as_int` does; a value out of range raises
+    DomainError in one of two forms, ``{name} must be >= {low}`` below the
+    range and ``{name} must be in {low}..{high}`` above it.
+    """
+    if type(value) is not int:
+        value = as_int(value, name)
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise DomainError(f"{name} must be in {low}..{high}, got {value}")
+    return value

@@ -12,7 +12,7 @@ from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
 from .closedform import FAMILIES, KINDS, Family
-from .errors import DomainError, as_int
+from .errors import checked
 
 __all__ = [
     "CheckResult",
@@ -135,14 +135,6 @@ def _families(nu, d):
     return tuple((Family(kind, d + 1), rules.size(nu, d + 1)) for kind, rules in FAMILIES.items())
 
 
-def _bound(value, name):
-    """A grid bound as an int; DomainError below 1, where the grid would check nothing."""
-    value = as_int(value, name)
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 def _ascending_count(rows):
     """How many rows ``rows`` yields, or None unless each is greater than the one before.
 
@@ -168,7 +160,7 @@ def check_counts(nu_max, d_max):
     Per d, one ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
     k! * B_{nu,k}, compared with nu! times each count: no division.
     """
-    nu_max, d_max = _bound(nu_max, "nu_max"), _bound(d_max, "d_max")
+    nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
     grid = f"nu<={nu_max}, d<={d_max}"
     fourway = CheckResult("four-way count identity", grid, 0)
     prop_bell = CheckResult("Bell recurrence vs closed form (per k)", grid, 0)
@@ -207,7 +199,7 @@ def check_counts(nu_max, d_max):
 
 def check_phi(n_max, d_max):
     """Rank/unrank bijectivity and order compatibility for word lengths <= n_max."""
-    n_max, d_max = _bound(n_max, "n_max"), _bound(d_max, "d_max")
+    n_max, d_max = checked(n_max, "n_max"), checked(d_max, "d_max")
     grid = f"n<={n_max}, d<={min(n_max, d_max)}"
     bijective = CheckResult("rank/unrank round trip and distinctness", grid, 0)
     ordered = CheckResult("rank order matches binary value order", grid, 0)
@@ -258,8 +250,8 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     each ``enum_family`` stream counts its rows and checks that they ascend
     strictly; an equal count makes the images the whole family.
     """
-    nu_max, d_max = _bound(nu_max, "nu_max"), _bound(d_max, "d_max")
-    phi_n_max = nu_max + d_max if phi_n_max is None else _bound(phi_n_max, "phi_n_max")
+    nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
+    phi_n_max = nu_max + d_max if phi_n_max is None else checked(phi_n_max, "phi_n_max")
     phi = check_phi(phi_n_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
     codec_check = CheckResult("binary codec round trip and image", grid, 0)

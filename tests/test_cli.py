@@ -265,6 +265,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("image", ["3", "3,5,4,3"])
+    def test_inverse_map_of_a_non_image_is_one(self, capsys, image):
+        code, out, err = run(capsys, "map", "--to", "ge", "--d", "2", "--inverse", "--input", image)
+        total = sum(map(int, image.split(",")))
+        assert (code, out) == (1, "")
+        assert err == f"error: parts summing to {total} are not a ge image for d=2\n"
+
     def test_bad_input_is_one(self, capsys):
         code, _, err = run(capsys, "rank", "--word", "12", "--d", "1")
         assert code == 1

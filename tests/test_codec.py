@@ -16,6 +16,7 @@ from colorcomp import (
     enum_family,
     enum_words,
     from_binary,
+    image_of_word,
     map_ge_m,
     map_ge_m_inv,
     map_mod_m,
@@ -25,8 +26,9 @@ from colorcomp import (
     rank_word,
     to_binary,
     unrank_word,
+    word_of_image,
 )
-from colorcomp.closedform import AtLeastM, OneModM, OnesAndM
+from colorcomp.closedform import FAMILIES, KINDS, AtLeastM, Family, OneModM, OnesAndM
 
 
 def cc(text, d=2):
@@ -204,6 +206,28 @@ class TestFamilyMaps:
             map_ge_m_inv((2, 3), 2)
         with pytest.raises(InputError):
             map_ones_m_inv((), 2)
+
+    @pytest.mark.parametrize(
+        "kind, parts, d",
+        [("ge", (3,), 2), ("mod", (1, 1), 2), ("ge", (3, 5, 4, 3), 2), ("ones", (1, 1), 1)],
+    )
+    def test_word_of_image_rejects_non_images(self, kind, parts, d):
+        message = f"^parts summing to {sum(parts)} are not a {kind} image for d={d}$"
+        with pytest.raises(InputError, match=message):
+            word_of_image(kind, parts, d)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    def test_word_of_image_accepts_exactly_the_images(self, d):
+        m = d + 1
+        for kind in KINDS:
+            totals = {FAMILIES[kind].size(nu, m) for nu in range(1, 16)}
+            for n in range(1, 16):
+                for parts in enum_family(Family(kind, m), n):
+                    if n in totals:
+                        assert image_of_word(kind, word_of_image(kind, parts, d), d) == parts
+                    else:
+                        with pytest.raises(InputError, match="are not a"):
+                            word_of_image(kind, parts, d)
 
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_round_trips_and_images(self, d):

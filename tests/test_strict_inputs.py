@@ -23,6 +23,7 @@ from colorcomp import (
     map_ge_m_inv,
     map_mod_m_inv,
     map_ones_m_inv,
+    num_colors,
     partial_bell,
     rank_word,
     to_binary,
@@ -99,6 +100,12 @@ REJECTED = [
     ("float nu_max in check_counts", lambda: check_counts(2.0, 2)),
     ("bool d_max in check_phi", lambda: check_phi(3, True)),
     ("string phi_n_max in check_bijections", lambda: check_bijections(2, 2, "4")),
+    ("float size in num_colors", lambda: num_colors(2.5, 2)),
+    ("bool size in num_colors", lambda: num_colors(True, 1)),
+    ("string size in num_colors", lambda: num_colors("a", 2)),
+    ("float d in num_colors", lambda: num_colors(2, 2.5)),
+    ("bool d in num_colors", lambda: num_colors(1, True)),
+    ("string d in num_colors", lambda: num_colors(2, "a")),
 ]
 
 
