@@ -192,9 +192,8 @@ def count_pd_k(nu, d, k):
     below that line.
     """
     global _pd_last
-    nu, d, k = checked(nu, "nu"), checked(d, "d"), checked(k, "k")
-    if k > nu:
-        return 0
+    nu, d = checked(nu, "nu"), checked(d, "d")
+    k = checked(k, "k", 1, nu)
     last = _pd_last
     if last is not None and last[:3] == (nu, d, k - 1) and 2 * d < nu - k:
         num, den = _pd_step_factors(nu, d, k)

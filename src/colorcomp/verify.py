@@ -150,21 +150,20 @@ def _ascending_count(rows):
 
 
 def check_counts(nu_max, d_max):
-    """Counting identities over 1 <= nu <= nu_max, 1 <= d <= d_max.
+    """Counting identities over 1 <= nu <= nu_max, 1 <= d <= d_max; enumerates nothing.
 
     Checks the four-way equality between the polytopic count and the
     three restricted-family counts, each both by the paper's binomial sum
     (``count_pd_k`` over k, each ``FAMILIES`` row's ``count``) and by its
-    recurrence (``count_pd``, ``count_family``), the Bell-vs-binomial
-    identity per part count, and the counts against enumeration sizes.
-    Per d, one ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
-    k! * B_{nu,k}, compared with nu! times each count: no division.
+    recurrence (``count_pd``, ``count_family``), and the Bell-vs-binomial
+    identity per part count.  Per d, one ``partial_bell_table`` at
+    x_j = j! * num_colors(j, d) gives k! * B_{nu,k}, compared with nu!
+    times each count: no division.
     """
     nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
     grid = f"nu<={nu_max}, d<={d_max}"
     fourway = CheckResult("four-way count identity", grid, 0)
     prop_bell = CheckResult("Bell recurrence vs closed form (per k)", grid, 0)
-    enum_eq = CheckResult("closed forms vs enumeration size", grid, 0)
     clock = _Clock()
     for d in range(1, d_max + 1):
         w = bell.WeightSeq.polytopic(d, nu_max)
@@ -187,14 +186,7 @@ def check_counts(nu_max, d_max):
                 if any(factorial(k) * table[(nu, k)] != factorial(nu) * c for c in counts):
                     prop_bell.record((nu, d, k))
             clock.lap(prop_bell)
-            enum_eq.cells += 1
-            if p != sum(1 for _ in compgen.enum_colored(nu, d)) or any(
-                _ascending_count(compgen.enum_family(f, n)) != count
-                for (f, n), count in zip(families, routes)
-            ):
-                enum_eq.record((nu, d))
-            clock.lap(enum_eq)
-    return CheckReport([fourway, prop_bell, enum_eq])
+    return CheckReport([fourway, prop_bell])
 
 
 def check_phi(n_max, d_max):
@@ -222,14 +214,14 @@ def check_phi(n_max, d_max):
     return CheckReport([bijective, ordered])
 
 
-def check_bijections(nu_max, d_max, phi_n_max=None):
+def check_bijections(nu_max, d_max):
     """Bijection suite over 1 <= nu <= nu_max, 1 <= d <= d_max.
 
-    Verifies the rank/unrank layer (word lengths up to ``phi_n_max``,
-    default nu_max + d_max), the binary-word codec round trip with exact
-    image characterization per part count, and that each family map sends
-    the rows of (nu, d) onto its family, by a counting argument that holds
-    no image.
+    Verifies the counts against enumeration sizes, the rank/unrank layer
+    (word lengths up to nu_max + d_max), the binary-word codec round trip
+    with exact image characterization per part count, and that each family
+    map sends the rows of (nu, d) onto its family, by a counting argument
+    that holds no image.  Every enumeration of the suite happens here.
 
     Each grid point is enumerated once, part count by part count, with
     the words of ``enum_words``, the listing's encoder; each row's word must
@@ -248,17 +240,20 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
     in length.  So each image lies in the family, distinct rows have
     distinct images, and there are as many images as rows.  One walk of
     each ``enum_family`` stream counts its rows and checks that they ascend
-    strictly; an equal count makes the images the whole family.
+    strictly; an equal count makes the images the whole family.  The
+    enumeration-size check holds the rows to ``count_pd`` and the same
+    stream counts to ``count_family``.
     """
     nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
-    phi_n_max = nu_max + d_max if phi_n_max is None else checked(phi_n_max, "phi_n_max")
-    phi = check_phi(phi_n_max, d_max)
+    phi = check_phi(nu_max + d_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
+    enum_eq = CheckResult("closed forms vs enumeration size", grid, 0)
     codec_check = CheckResult("binary codec round trip and image", grid, 0)
     images = CheckResult("family map images equal enumerations", grid, 0)
     clock = _Clock()
     for d in range(1, d_max + 1):
         for nu in range(1, nu_max + 1):
+            enum_eq.cells += 1
             images.cells += 1
             families = [
                 (f, n, frozenset(s for s in range(1, n + 1) if f.admits(s)))
@@ -268,8 +263,7 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
             for k in range(1, nu + 1):
                 codec_check.cells += 1
                 length, ones = nu + d * k - 1, (d + 1) * k - 1
-                words = []
-                ok = True
+                words, ok = [], True
                 for alpha, beta in codec.enum_words(nu, d, k):
                     decoded = codec.from_binary(beta, d) == alpha
                     if (
@@ -297,14 +291,16 @@ def check_bijections(nu_max, d_max, phi_n_max=None):
                         ):
                             images_ok = False
                 clock.lap(images)
-            if images_ok:
-                images_ok = all(
-                    _ascending_count(compgen.enum_family(f, n)) == rows for f, n, _ in families
-                )
-            if not images_ok:
+            counts = [_ascending_count(compgen.enum_family(f, n)) for f, n, _ in families]
+            if rows != closedform.count_pd(nu, d) or counts != [
+                closedform.count_family(f, n) for f, n, _ in families
+            ]:
+                enum_eq.record((nu, d))
+            clock.lap(enum_eq)
+            if not images_ok or any(count != rows for count in counts):
                 images.record((nu, d))
             clock.lap(images)
-    return phi.merge(CheckReport([codec_check, images]))
+    return CheckReport([enum_eq, *phi.checks, codec_check, images])
 
 
 # Golden correspondence for nu = 3, d = 2, transcribed row by row:

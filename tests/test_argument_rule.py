@@ -69,6 +69,7 @@ OUT_OF_RANGE = [
     ("count_pd_k nu", lambda: count_pd_k(0, 2, 1), "nu must be >= 1, got 0"),
     ("count_pd_k d", lambda: count_pd_k(3, 0, 1), "d must be >= 1, got 0"),
     ("count_pd_k k", lambda: count_pd_k(3, 2, 0), "k must be >= 1, got 0"),
+    ("count_pd_k k high", lambda: count_pd_k(3, 2, 5), "k must be in 1..3, got 5"),
     ("count_pd nu", lambda: count_pd(0, 2), "nu must be >= 1, got 0"),
     ("count_pd d", lambda: count_pd(3, -1), "d must be >= 1, got -1"),
     ("count_family n", lambda: count_family(GE, 0), "n must be >= 1, got 0"),
@@ -101,11 +102,6 @@ OUT_OF_RANGE = [
     ("check_phi d_max", lambda: check_phi(2, -1), "d_max must be >= 1, got -1"),
     ("check_bijections nu_max", lambda: check_bijections(0, 2), "nu_max must be >= 1, got 0"),
     ("check_bijections d_max", lambda: check_bijections(2, 0), "d_max must be >= 1, got 0"),
-    (
-        "check_bijections phi_n_max",
-        lambda: check_bijections(2, 2, 0),
-        "phi_n_max must be >= 1, got 0",
-    ),
 ]
 
 

@@ -244,6 +244,24 @@ class TestVerify:
             "grid": {"nu_max": 2, "d_max": 2},
         }
 
+    # The merged report's checks, in order, with their cells per check.
+    def test_json_check_order_and_cells(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--nu-max", "3", "--d-max", "2", "--format", "json"
+        )
+        assert code == 0
+        checks = [(c["name"], c["cells"]) for c in json.loads(out)["checks"]]
+        assert checks == [
+            ("golden 13-row correspondence (nu=3, d=2)", 13),
+            ("four-way count identity", 6),
+            ("Bell recurrence vs closed form (per k)", 12),
+            ("closed forms vs enumeration size", 6),
+            ("rank/unrank round trip and distinctness", 9),
+            ("rank order matches binary value order", 9),
+            ("binary codec round trip and image", 12),
+            ("family map images equal enumerations", 6),
+        ]
+
     @pytest.mark.parametrize(
         "bounds, message",
         [

@@ -50,7 +50,8 @@ class TestCountPdK:
         assert count_pd_k(3, 2, 3) == 1
 
     def test_more_parts_than_total(self):
-        assert count_pd_k(3, 2, 5) == 0
+        with pytest.raises(DomainError, match=r"^k must be in 1\.\.3, got 5$"):
+            count_pd_k(3, 2, 5)
 
     def test_all_unit_parts(self):
         for nu in range(1, 8):

@@ -347,6 +347,6 @@ def test_exact_mutant_step_fails_bell_check(monkeypatch):
     monkeypatch.setattr(closedform, "_pd_step_factors", off_by_one(0, 1))
     monkeypatch.setattr(closedform, "_pd_last", None)
     assert [count_pd_k(5, 1, k) for k in range(1, 6)] == [5, 25, 21, 8, 1]
-    fourway, bell_check, _ = check_counts(6, 1).checks
+    fourway, bell_check = check_counts(6, 1).checks
     assert not fourway.passed and not bell_check.passed
     assert (bell_check.failures, bell_check.counterexample) == (3, (5, 1, 2))

@@ -8,7 +8,6 @@ from colorcomp import (
     ColoredComposition,
     ColorCompError,
     WeightSeq,
-    check_bijections,
     check_counts,
     check_phi,
     count_pd,
@@ -99,7 +98,6 @@ REJECTED = [
     ("string part in admits", lambda: AtLeastM(3).admits("3")),
     ("float nu_max in check_counts", lambda: check_counts(2.0, 2)),
     ("bool d_max in check_phi", lambda: check_phi(3, True)),
-    ("string phi_n_max in check_bijections", lambda: check_bijections(2, 2, "4")),
     ("float size in num_colors", lambda: num_colors(2.5, 2)),
     ("bool size in num_colors", lambda: num_colors(True, 1)),
     ("string size in num_colors", lambda: num_colors("a", 2)),

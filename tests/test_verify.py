@@ -37,9 +37,9 @@ def count_encodes(monkeypatch):
 
 
 # Wrong enum_family streams, each applied to every (family, n), with the
-# failures and first counterexample each gives the image check of
-# check_bijections(5, 2).  At nu = 1 every family has one composition, so
-# swapping the first two rows changes nothing there.
+# failures and first counterexample each gives both the image check and the
+# enumeration-size check of check_bijections(5, 2).  At nu = 1 every family
+# has one composition, so swapping the first two rows changes nothing there.
 WRONG_STREAMS = {
     "last-row-dropped": (lambda rows: rows[:-1], 10, (1, 1)),
     "last-row-duplicated": (lambda rows: rows + rows[-1:], 10, (1, 1)),
@@ -60,7 +60,7 @@ class TestCheckCounts:
     def test_small_grid_passes(self):
         report = check_counts(3, 2)
         assert report.ok
-        assert len(report.checks) == 3
+        assert len(report.checks) == 2
 
     def test_trivial_grid(self):
         assert check_counts(1, 1).ok
@@ -107,17 +107,9 @@ class TestCheckCounts:
         rules = closedform.FAMILIES["ge"]
         wrong = rules._replace(count=lambda n, m: rules.count(n, m) + (n == 11))
         monkeypatch.setitem(closedform.FAMILIES, "ge", wrong)
-        fourway, prop_bell, enum_eq = check_counts(6, 3).checks
+        fourway, prop_bell = check_counts(6, 3).checks
         assert (fourway.failures, fourway.counterexample) == (3, (5, 1))
-        assert prop_bell.passed and enum_eq.passed
-
-    @pytest.mark.parametrize("name", WRONG_STREAMS)
-    def test_enumeration_size_catches_a_wrong_stream(self, monkeypatch, name):
-        mutate, failures, first = WRONG_STREAMS[name]
-        wrong_stream(monkeypatch, mutate)
-        fourway, prop_bell, enum_eq = check_counts(5, 2).checks
-        assert (enum_eq.failures, enum_eq.counterexample) == (failures, first)
-        assert fourway.passed and prop_bell.passed
+        assert prop_bell.passed and check_bijections(6, 3).checks[0].passed
 
 
 class TestCheckBijections:
@@ -136,8 +128,8 @@ class TestCheckBijections:
         rows = sum(count_pd(nu, d) for nu in range(1, 6) for d in range(1, 4))
         assert calls[0] == rows
 
-    # Each wrong map or stream below leaves the codec intact, so only the
-    # image check may fail.
+    # Each wrong map or stream below leaves the codec intact, so of the last
+    # two checks only the image check may fail.
     def image_check(self, failures, first):
         codec_check, images = check_bijections(5, 2).checks[-2:]
         assert codec_check.passed
@@ -163,6 +155,30 @@ class TestCheckBijections:
         mutate, failures, first = WRONG_STREAMS[name]
         wrong_stream(monkeypatch, mutate)
         self.image_check(failures, first)
+
+    @pytest.mark.parametrize("name", WRONG_STREAMS)
+    def test_enumeration_size_catches_a_wrong_stream(self, monkeypatch, name):
+        mutate, failures, first = WRONG_STREAMS[name]
+        wrong_stream(monkeypatch, mutate)
+        enum_eq = check_bijections(5, 2).checks[0]
+        assert enum_eq.name == "closed forms vs enumeration size"
+        assert (enum_eq.failures, enum_eq.counterexample) == (failures, first)
+        assert check_counts(5, 2).ok
+
+    # A colored stream one row short at (3, 2), for every part count, fails
+    # each per-k codec cell there, the row total and the image count.
+    def test_short_colored_stream_fails_every_check_that_counts_rows(self, monkeypatch):
+        enum = compgen.enum_colored
+
+        def short(nu, d, k=None):
+            rows = list(enum(nu, d, k))
+            return iter(rows[:-1] if (nu, d) == (3, 2) else rows)
+
+        monkeypatch.setattr(compgen, "enum_colored", short)
+        enum_eq, _, _, codec_check, images = check_bijections(5, 2).checks
+        assert (enum_eq.failures, enum_eq.counterexample) == (1, (3, 2))
+        assert (codec_check.failures, codec_check.counterexample) == (3, (3, 2, 1))
+        assert (images.failures, images.counterexample) == (1, (3, 2))
 
     def test_image_check_catches_two_rows_with_one_image(self, monkeypatch):
         image_of_word = codec.image_of_word
@@ -257,7 +273,6 @@ class TestCheckBijections:
         (check_phi, (3, 0)),
         (check_bijections, (0, 2)),
         (check_bijections, (2, 0)),
-        (check_bijections, (2, 2, 0)),
     ],
 )
 def test_empty_grid_is_a_domain_error(check, args):
@@ -317,7 +332,7 @@ class TestReport:
 
     def test_merge(self):
         merged = golden_tables().merge(check_counts(2, 2))
-        assert len(merged.checks) == 4
+        assert len(merged.checks) == 3
         assert merged.ok
 
 
@@ -337,3 +352,24 @@ def test_list_with_map_encodes_each_row_once(monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == count_pd(5, 2)
     assert encodes[0] == 0
     assert unranks[0] == comb(5 + 2, 2 + 1) == 35
+
+
+# check_counts enumerates nothing.  verify walks each (family, n) stream
+# once, in check_bijections: three per grid point.  Its colored rows come
+# one part count at a time, 20 streams, plus one for the golden table.
+def test_verify_walks_each_stream_once(monkeypatch, capsys):
+    calls = dict.fromkeys(("enum_colored", "enum_family"), 0)
+
+    def counting(name, enum):
+        def counted(*args):
+            calls[name] += 1
+            return enum(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(compgen, name, counting(name, getattr(compgen, name)))
+    assert check_counts(4, 2).ok
+    assert calls == {"enum_colored": 0, "enum_family": 0}
+    assert cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 0
+    assert calls == {"enum_colored": 21, "enum_family": 24}
