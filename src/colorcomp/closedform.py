@@ -37,41 +37,15 @@ __all__ = [
 ]
 
 
-def _ones_word(parts, m):
-    try:
-        return "".join(map({1: "1", m: "0"}.__getitem__, parts))
-    except KeyError as exc:
-        raise InputError(f"part {exc.args[0]} not in {{1, {m}}}") from None
-
-
-def _mod_word(parts, m):
-    pieces = {}  # distinct part -> its run of zeros and the '1' after it
-    for p in set(parts):
-        run, rest = divmod(p - 1, m)
-        if p < 1 or rest:
-            raise InputError(f"part {p} is not 1 modulo {m}")
-        pieces[p] = "0" * run + "1"
-    return "".join(map(pieces.__getitem__, parts))[:-1]
-
-
-def _ge_word(parts, m):
-    pieces = {}  # distinct part -> its run of ones and the '0' after it
-    for p in set(parts):
-        if p < m:
-            raise InputError(f"part {p} smaller than {m}")
-        pieces[p] = "1" * (p - m) + "0"
-    return "".join(map(pieces.__getitem__, parts))[:-1]
-
-
 class _Rules(NamedTuple):
     """What one family kind is, written in its parameter m (m = d + 1 for the maps)."""
 
-    admits: Callable[[int, int], bool]  # (part, m): the part rule
+    admits: Callable[[int, int], bool]  # (part, m): the part rule, false for parts < 1
     count: Callable[[int, int], int]  # (n, m): the closed-form sum for compositions of n
     shift: Callable[[int], int]  # (m): the family's count at n is a_(n - shift) of 1/(1-x-x^m)
     size: Callable[[int, int], int]  # (nu, m): the total of the image of a composition of nu
     image: Callable[[str, int], tuple]  # (codeword, m) -> parts
-    word: Callable[[tuple, int], str]  # (parts, m) -> codeword; rejects parts outside the family
+    word: Callable[[tuple, int], str]  # (parts, m) -> codeword, for parts that ``admits``
 
 
 # The three families, in the order every listing and check uses.
@@ -85,15 +59,15 @@ FAMILIES = {
         shift=lambda m: 0,
         size=lambda nu, m: m * nu - 1,
         image=lambda beta, m: tuple(map({"1": 1, "0": m}.__getitem__, beta)),
-        word=_ones_word,
+        word=lambda parts, m: "".join(map({1: "1", m: "0"}.__getitem__, parts)),
     ),
     "mod": _Rules(
-        admits=lambda part, m: part % m == 1 % m,
+        admits=lambda part, m: part >= 1 and part % m == 1,
         count=lambda n, m: sum(comb(n - (m - 1) * j - 1, j) for j in range(n // m + 1)),
         shift=lambda m: 1,
         size=lambda nu, m: m * nu,
         image=lambda beta, m: tuple([m * len(gap) + 1 for gap in beta.split("1")]),
-        word=_mod_word,
+        word=lambda parts, m: "1".join(["0" * (part // m) for part in parts]),
     ),
     "ge": _Rules(
         admits=lambda part, m: part >= m,
@@ -103,7 +77,7 @@ FAMILIES = {
         shift=lambda m: m,
         size=lambda nu, m: m * nu + m - 1,
         image=lambda beta, m: tuple([len(gap) + m for gap in beta.split("0")]),
-        word=_ge_word,
+        word=lambda parts, m: "0".join(["1" * (part - m) for part in parts]),
     ),
 }
 KINDS = tuple(FAMILIES)
@@ -141,9 +115,8 @@ class Family:
         object.__setattr__(self, "m", checked(self.m, "m", 2))
 
     def admits(self, part):
-        """Whether a part of the given size is allowed in this family (never for size < 1)."""
-        part = as_int(part, "part")
-        return part >= 1 and FAMILIES[self.kind].admits(part, self.m)
+        """Whether a part of the given size is allowed in this family: the row's part rule."""
+        return FAMILIES[self.kind].admits(as_int(part, "part"), self.m)
 
 
 def OnesAndM(m):
@@ -229,8 +202,8 @@ def _ones_and_m(j, m):
     a_j = a_(j-1) + a_(j-m) with a_0 = ... = a_(m-1) = 1, kept in a window
     of m values: slot j mod m holds a_(j-m) until a_j replaces it.
     """
-    if j < 0:
-        return 0
+    if j < m:
+        return int(j >= 0)
     a = [1] * m
     for i in range(m, j + 1):
         i %= m

@@ -199,10 +199,11 @@ def image_of_word(kind, beta, d):
 def word_of_image(kind, parts, d):
     """The codeword whose family image is ``parts``; inverts image_of_word.
 
-    Rejects parts outside the family of ``kind`` for this d, and parts
-    whose total is no image total for d: their word is no codeword.
+    Each distinct part must pass the family's part rule, ``admits``, at
+    m = d + 1, before the row's ``word`` joins them; parts whose total is
+    no image total for d are rejected too: their word is no codeword.
     """
-    word = kind_rules(kind).word
+    rules = kind_rules(kind)
     d = checked(d, "d")
     try:
         parts = tuple(parts)
@@ -212,7 +213,10 @@ def word_of_image(kind, parts, d):
         raise InputError("empty composition")
     if set(map(type, parts)) != {int}:  # one C-level pass in the common all-int case
         parts = tuple(as_int(p, "part") for p in parts)
-    beta = word(parts, d + 1)
+    for part in set(parts):
+        if not rules.admits(part, d + 1):
+            raise InputError(f"part {part} is not in the {kind} family for d={d}")
+    beta = rules.word(parts, d + 1)
     if (beta.count("1") + 1) % (d + 1):
         raise InputError(f"parts summing to {sum(parts)} are not a {kind} image for d={d}")
     return beta

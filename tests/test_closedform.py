@@ -1,5 +1,6 @@
 """Closed-form counts against golden values, brute force, and the Bell layer."""
 
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -96,6 +97,17 @@ class TestCountFamily:
         # formulas remain valid below the usual n >= m threshold
         assert count_family(OnesAndM(4), 2) == 1
         assert count_family(OneModM(4), 3) == 1
+
+    # A count at n below m is 1 or 0 whatever m is, so no m-slot window is built.
+    @pytest.mark.parametrize("family", [OnesAndM(10**7), OneModM(10**7)])
+    def test_small_n_far_below_m_allocates_nothing_of_size_m(self, family):
+        tracemalloc.start()
+        try:
+            value = count_family(family, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1 and peak < 1e6
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_matches_enumeration(self, m):

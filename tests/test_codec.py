@@ -216,6 +216,22 @@ class TestFamilyMaps:
         with pytest.raises(InputError, match=message):
             word_of_image(kind, parts, d)
 
+    # A part is refused, with the one message, exactly when admits refuses it.
+    def test_word_of_image_refuses_exactly_the_parts_admits_refuses(self):
+        mismatches = []
+        for kind in KINDS:
+            for m in range(2, 6):
+                for part in range(-m, 3 * m + 1):
+                    try:
+                        word_of_image(kind, (part,), m - 1)
+                        message = None
+                    except InputError as exc:
+                        message = str(exc)
+                    refused = message == f"part {part} is not in the {kind} family for d={m - 1}"
+                    if refused == Family(kind, m).admits(part):
+                        mismatches.append((kind, m, part, message))
+        assert mismatches == []
+
     @pytest.mark.parametrize("d", (1, 2, 3))
     def test_word_of_image_accepts_exactly_the_images(self, d):
         m = d + 1

@@ -141,12 +141,17 @@ class TestCheckBijections:
     # part rule.
     @pytest.mark.parametrize("kind, extra", [("ge", lambda m: m), ("mod", lambda m: 0)])
     def test_image_check_catches_images_outside_the_family(self, monkeypatch, kind, extra):
-        rules = closedform.FAMILIES[kind]
-        wrong = rules._replace(
-            image=lambda beta, m: rules.image(beta, m) + (extra(m),),
-            word=lambda parts, m: rules.word(parts[:-1], m),
-        )
-        monkeypatch.setitem(closedform.FAMILIES, kind, wrong)
+        image_of_word, word_of_image = codec.image_of_word, codec.word_of_image
+
+        def wrong_image(k, beta, d):
+            image = image_of_word(k, beta, d)
+            return image + (extra(d + 1),) if k == kind else image
+
+        def wrong_word(k, parts, d):
+            return word_of_image(k, parts[:-1] if k == kind else parts, d)
+
+        monkeypatch.setattr(codec, "image_of_word", wrong_image)
+        monkeypatch.setattr(codec, "word_of_image", wrong_word)
         assert codec.word_of_image(kind, codec.image_of_word(kind, "0101", 2), 2) == "0101"
         self.image_check(10, (1, 1))
 
