@@ -16,6 +16,7 @@ checked for zero remainder and raises :class:`InternalError` otherwise.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import comb, factorial
 from operator import mul
 
@@ -134,15 +135,16 @@ def partial_bell(n, k, x):
 
 
 def require_prefix(w, n):
-    """Reject anything but a WeightSeq of at least n entries.
+    """The prefix (w_1, ..., w_n) as a tuple, w_s at index s - 1, checked once.
 
-    A plain sequence would be read 0-based where a WeightSeq is 1-based,
-    shifting every weight by one.
+    Anything but a WeightSeq of at least n entries raises InputError: a plain
+    sequence would be read 0-based where a WeightSeq is 1-based.
     """
     if not isinstance(w, WeightSeq):
         raise InputError(f"weights must be a WeightSeq, got {w!r}")
     if n > len(w):
         raise InputError(f"weight prefix of length {len(w)} too short for n={n}")
+    return w._weights[:n]
 
 
 # The last (w, n, k, row k) weighted_count_k built.  It is read once and
@@ -154,18 +156,18 @@ _row_last = None
 def weighted_count_k(w, n, k):
     """Number of w-color compositions of n with exactly k parts.
 
-    C_k(n) of the convolution C_i(j) = sum_s w_s * C_{i-1}(j - s), C_0(0) = 1.
-    Row i keeps only the cells i <= j <= n - k + i that can still reach n,
-    stored at offset j - i.  A sweep k = 1, 2, ... with the same ``w``
-    object and n continues from the previous call's row k-1, cut to this
-    band, with one convolution step.
+    C_k(n) of the convolution C_i(j) = sum_s w_s * C_{i-1}(j - s), C_0(0) = 1,
+    over the tuple :func:`require_prefix` hands out.  Row i keeps only the
+    cells i <= j <= n - k + i that can still reach n, stored at offset
+    j - i.  A sweep k = 1, 2, ... with the same ``w`` object and n
+    continues from the previous call's row k-1, cut to this band, with one
+    convolution step.
     """
     global _row_last
     n = checked(n, "n")
     k = checked(k, "k", 1, n)
-    require_prefix(w, n)
     width = n - k + 1
-    ws = [w[s] for s in range(1, width + 1)]  # ws[t] = w_{t+1}
+    ws = require_prefix(w, n)[:width]  # ws[t] = w_{t+1}
     last = _row_last
     if last is not None and last[0] is w and last[1:3] == (n, k - 1):
         row, steps = last[3][:width], 1
@@ -186,12 +188,12 @@ def weighted_count(w, n):
 def invert_transform(w, n_max):
     """First n_max terms (W_1, ..., W_{n_max}) of the invert transform of w.
 
-    Uses the convolution recurrence W_n = w_n + sum_i w_i * W_{n-i},
-    the route :func:`weighted_count` takes.
+    Uses the convolution recurrence W_n = w_n + sum_i w_i * W_{n-i} over
+    the tuple :func:`require_prefix` hands out, the route
+    :func:`weighted_count` takes.
     """
     n_max = checked(n_max, "n_max")
-    require_prefix(w, n_max)
-    ws = [w[s] for s in range(1, n_max + 1)]  # ws[i] = w_{i+1}
+    ws = require_prefix(w, n_max)  # ws[i] = w_{i+1}
     result = []
     for wn in ws:
         # sum_i w_i * W_{n-i}: zip ws with result reversed; map stops at the shorter.
@@ -216,23 +218,19 @@ def hoggatt_lind_count(w, n, k):
     """k-part weighted composition count by direct partition summation.
 
     Sums k!/(k_1! ... k_n!) * w_1^{k_1} ... w_n^{k_n} over all k-part
-    partitions of n.  Exponential in n; serves as an oracle for
-    :func:`weighted_count_k`.
+    partitions of n, the k_s counted as runs of equal parts and each w_s
+    read from the tuple :func:`require_prefix` hands out.  Exponential in
+    n; serves as an oracle for :func:`weighted_count_k`.
     """
     n = checked(n, "n")
     k = checked(k, "k", 1, n)
-    require_prefix(w, n)
+    ws = require_prefix(w, n)
     total = 0
     for partition in _partitions_k(n, k, n):
-        coeff = factorial(k)
-        term = 1
-        run_size, run_len = partition[0], 0
-        for part in partition + (0,):
-            if part == run_size:
-                run_len += 1
-                continue
+        coeff, term = factorial(k), 1
+        for part, run in groupby(partition):
+            run_len = len(list(run))
             coeff = _exact_div(coeff, factorial(run_len), "multinomial")
-            term *= w[run_size] ** run_len
-            run_size, run_len = part, 1
+            term *= ws[part - 1] ** run_len
         total += coeff * term
     return total

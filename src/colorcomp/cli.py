@@ -24,7 +24,7 @@ _MAPS = {
 }
 
 
-def _parse_weights(spec, n):
+def _parse_weights(spec):
     """Weights from a comma list or a file with one integer per line."""
     if os.path.isfile(spec):
         try:
@@ -38,8 +38,6 @@ def _parse_weights(spec, n):
         weights = [int(e) for e in entries]
     except ValueError:
         raise InputError(f"weights must be integers, got {entries!r}") from None
-    if len(weights) < n:
-        raise InputError(f"need at least {n} weights, got {len(weights)}")
     return bell.WeightSeq(weights)
 
 
@@ -68,7 +66,7 @@ def _cmd_count(args):
     elif args.what == "family":
         print(closedform.count_family(Family(args.kind, args.m), args.n))
     else:  # weighted
-        w = _parse_weights(args.weights, args.n)
+        w = _parse_weights(args.weights)
         _print_count(args, args.n, bell.weighted_count_k, bell.weighted_count, w, args.n)
     return 0
 
@@ -235,6 +233,12 @@ def main(argv=None):
         return code
     except ColorCompError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: value too large for this machine ({exc})", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed the pipe (``colorcomp list ... | head``): stop

@@ -92,13 +92,25 @@ def _int_pair(part):
 
 
 def _size_tuples_desc(n, k):
-    """Compositions of n into exactly k positive parts, lexicographically descending."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n - k + 1, 0, -1):
-        for rest in _size_tuples_desc(n - first, k - 1):
-            yield (first,) + rest
+    """Compositions of n into exactly k positive parts, lexicographically descending.
+
+    Walks one list without recursion, so k is not bounded by the recursion
+    limit.  From (n-k+1, 1, ..., 1), each step takes one from the rightmost
+    part before the last that exceeds 1; the parts to its right become one
+    part followed by 1s.  Requires 1 <= k <= n.
+    """
+    parts = [n - k + 1] + [1] * (k - 1)
+    while True:
+        yield tuple(parts)
+        i = k - 2
+        while i >= 0 and parts[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        parts[i] -= 1
+        # The parts right of i were 1, ..., 1, last; they now sum to last + k - 1 - i.
+        last, parts[-1] = parts[-1], 1
+        parts[i + 1] = last + 1
 
 
 def enum_colored(nu, d, k=None):
@@ -155,16 +167,16 @@ def _compositions_from(sizes, n):
 def enum_weighted(w, n):
     """All w-color compositions of n, as tuples of (size, color) parts.
 
-    The color of a part of size s ranges over 1..w[s]; sizes with weight
-    zero never appear.  Order: first part ascending by (size, color),
-    then recursively.
+    The color of a part of size s ranges over 1..w_s, read from the tuple
+    :func:`require_prefix` hands out; sizes with weight zero never appear.
+    Order: first part ascending by (size, color), then recursively.
     """
     n = checked(n, "n")
-    require_prefix(w, n)
+    ws = require_prefix(w, n)
 
     def _walk(remaining):
-        for s in range(1, remaining + 1):
-            for c in range(1, w[s] + 1):
+        for s, colors in enumerate(ws[:remaining], 1):
+            for c in range(1, colors + 1):
                 if s == remaining:
                     yield ((s, c),)
                 else:

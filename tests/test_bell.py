@@ -16,6 +16,7 @@ from colorcomp import (
     weighted_count,
     weighted_count_k,
 )
+from colorcomp.bell import require_prefix
 
 ONE_TWO = WeightSeq((1, 1) + (0,) * 10)
 
@@ -169,3 +170,45 @@ class TestMutualAgreement:
     def test_enumeration_agrees(self, w):
         for n in range(1, 9):
             assert brute_count(w, n) == weighted_count(w, n)
+
+
+READ_ONCE_SUITE = [
+    (1, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 2, 0, 1, 0, 0, 3, 0, 0, 1),
+    (2, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    tuple(WeightSeq.polytopic(1, 10)),
+    tuple(WeightSeq.polytopic(3, 10)),
+]
+
+
+def weighted_results(weights, n):
+    """What every weighted routine returns at n, each on a fresh WeightSeq."""
+    sweep = WeightSeq(weights)  # one object, so k > 1 continues the previous row
+    return (
+        weighted_count(WeightSeq(weights), n),
+        [weighted_count_k(sweep, n, k) for k in range(1, n + 1)],
+        invert_transform(WeightSeq(weights), n),
+        [hoggatt_lind_count(WeightSeq(weights), n, k) for k in range(1, n + 1)],
+        list(enum_weighted(WeightSeq(weights), min(n, 6))),
+    )
+
+
+@pytest.mark.parametrize("weights", READ_ONCE_SUITE, ids=["one-two", "zeros", "unit", "p1", "p3"])
+def test_weighted_routines_read_the_checked_prefix_once(weights, monkeypatch):
+    """Each routine reads the tuple require_prefix returns, not w[s] per weight."""
+    expected = [weighted_results(weights, n) for n in (1, 5, 10)]
+
+    def no_reads(self, index):
+        raise AssertionError(f"w[{index}] read after require_prefix")
+
+    monkeypatch.setattr(WeightSeq, "__getitem__", no_reads)
+    assert [weighted_results(weights, n) for n in (1, 5, 10)] == expected
+
+
+@pytest.mark.parametrize("weights", READ_ONCE_SUITE[:2] + [(7,)])
+def test_require_prefix_returns_the_checked_weights(weights):
+    w = WeightSeq(weights)
+    for n in range(1, len(w) + 1):
+        assert require_prefix(w, n) == tuple(w[s] for s in range(1, n + 1))
+    with pytest.raises(InputError, match=f"weight prefix of length {len(w)} too short"):
+        require_prefix(w, len(w) + 1)

@@ -191,6 +191,11 @@ class TestList:
         assert code == 0
         assert out.strip().splitlines() == ["1,1,1,1", "1,3", "3,1"]
 
+    def test_part_counts_past_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "list", "colored", "--nu", "1000", "--d", "1", "--k", "999")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == colorcomp.count_pd_k(1000, 1, 999) == 1998
+
 
 class TestRankUnrankMap:
     def test_unrank(self, capsys):
@@ -299,6 +304,38 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["count", "pd", "--nu", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "count family --kind ones --m 100000000000000000000 --n 100000000000000000001",
+            "list colored --nu 100000000000000000000 --d 1 --k 1",
+            "count pd --nu 100000000000000000000 --d 100000000000000000000 --k 1",
+        ],
+        ids=["family", "list", "pd-k"],
+    )
+    def test_too_large_for_the_machine_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: value too large for this machine (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_of_memory_is_one(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.closedform, "count_family", exhausted)
+        code, out, err = run(capsys, "count", "family", "--kind", "ones", "--m", "3", "--n", "9")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize(
+        "form", [(), ("--k", "2"), ("--by-parts",)], ids=["total", "k", "by-parts"]
+    )
+    def test_short_weight_list_has_the_library_message(self, capsys, form):
+        with pytest.raises(colorcomp.InputError) as excinfo:
+            colorcomp.weighted_count(colorcomp.WeightSeq((1, 1, 0)), 5)
+        code, out, err = run(capsys, "count", "weighted", "--n", "5", "--weights", "1,1,0", *form)
+        assert (code, out, err) == (1, "", f"error: {excinfo.value}\n")
 
 
 def read_first_line(*argv):

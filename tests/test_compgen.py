@@ -18,6 +18,7 @@ from colorcomp import (
     enum_weighted,
     num_colors,
 )
+from colorcomp.compgen import _size_tuples_desc
 
 
 class TestColoredComposition:
@@ -79,6 +80,22 @@ class TestEnumColored:
     def test_bad_k(self):
         with pytest.raises(DomainError):
             list(enum_colored(3, 2, 4))
+
+
+def recursive_size_tuples(n, k):
+    """Oracle for the list walker: the first part descending, then the rest recursively."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n - k + 1, 0, -1):
+        for rest in recursive_size_tuples(n - first, k - 1):
+            yield (first,) + rest
+
+
+def test_size_tuples_match_the_recursive_walk():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert list(_size_tuples_desc(n, k)) == list(recursive_size_tuples(n, k))
 
 
 class TestEnumFamily:
