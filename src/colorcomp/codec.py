@@ -17,7 +17,7 @@ codec; both sides read their kind's row of ``closedform.FAMILIES``.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 from operator import index
 
 from . import compgen
@@ -97,8 +97,42 @@ def rank_word(word, d):
     ones = word.count("1")
     if ones != d:
         raise InputError(f"word {word!r} has {ones} ones, expected {d}")
-    # A word with exactly d ones is one segment of the part codec.
-    return from_binary(word, d).parts[0][1]
+    if ones + word.count("0") != len(word):
+        raise InputError(f"binary word may contain only 0/1, got {word!r}")
+    return _rank(word)
+
+
+def _rank(word):
+    """1 + the sum of C(p, j) over the j-th one from the right, at position p, of a 0/1 word.
+
+    Jumps from one '1' to the next with ``str.rfind``, so a run of zeros
+    costs no Python step.  Each term is a fresh ``comb(p, j)`` or one exact
+    step from the previous term C(q, j-1), the one at position q < p:
+
+        C(p, j) = C(q, j-1) (q+1)...p / (j (q+2-j)...(p-j)),
+
+    with p - q factors above and below.  The step wins where they are few
+    against j, measured as 8(p - q) < j; the division is checked by
+    multiplying back.
+    """
+    last = len(word) - 1
+    rank, term, q, j = 1, 0, 0, 0  # term = C(q, j) for the j-th one, at q
+    i = word.rfind("1")
+    while i >= 0:
+        p = last - i
+        j += 1
+        if term and 8 * (p - q) < j:
+            numerator = term * prod(range(q + 1, p + 1))
+            denominator = j * prod(range(q + 2 - j, p + 1 - j))
+            term = numerator // denominator
+            if term * denominator != numerator:
+                raise InternalError(f"inexact binomial step from q={q} to p={p}, j={j}")
+        else:
+            term = comb(p, j)
+        rank += term
+        q = p
+        i = word.rfind("1", 0, i)
+    return rank
 
 
 def to_binary(alpha):

@@ -169,18 +169,33 @@ def enum_weighted(w, n):
 
     The color of a part of size s ranges over 1..w_s, read from the tuple
     :func:`require_prefix` hands out; sizes with weight zero never appear.
-    Order: first part ascending by (size, color), then recursively.
+    Order: first part ascending by (size, color), then the rest the same way.
     """
     n = checked(n, "n")
-    ws = require_prefix(w, n)
+    return _weighted_from(require_prefix(w, n), n)
 
-    def _walk(remaining):
-        for s, colors in enumerate(ws[:remaining], 1):
-            for c in range(1, colors + 1):
-                if s == remaining:
-                    yield ((s, c),)
-                else:
-                    for rest in _walk(remaining - s):
-                        yield ((s, c),) + rest
 
-    return _walk(n)
+def _weighted_from(ws, n):
+    """The compositions of enum_weighted(w, n), for the checked prefix ws of w.
+
+    Depth-first over a prefix of parts held in one list, so the part count
+    is not bounded by the recursion limit: (s, c) is the last part tried at
+    the current depth, and backtracking resumes after the part it pops.
+    """
+    prefix = []
+    remaining, s, c = n, 1, 0
+    while True:
+        c += 1
+        while s <= remaining and c > ws[s - 1]:
+            s, c = s + 1, 1
+        if s < remaining:
+            prefix.append((s, c))
+            remaining -= s
+            s, c = 1, 0
+        elif s == remaining:
+            yield (*prefix, (s, c))
+        elif prefix:
+            s, c = prefix.pop()
+            remaining += s
+        else:
+            return

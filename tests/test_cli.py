@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -394,7 +395,9 @@ def exact_decimal():
     sys.set_int_max_str_digits(limit)
 
 
-# Rank cost grows with the number of ones, so few ones and a long run of zeros.
+# Words past the digit limit both ways: many ones, whose rank is C(20000, 10000),
+# and few ones followed by a long run of zeros.
+MANY_ONES = "1" * 10000 + "0" * 10000
 ONES_THEN_ZEROS = "1" * 2000 + "0" * 120000
 HUGE = "9" * 4400
 
@@ -407,6 +410,7 @@ HUGE = "9" * 4400
             ("count", "family", "--kind", "ge", "--m", "2", "--n", "30000"),
             lambda: colorcomp.count_family(AtLeastM(2), 30000),
         ),
+        (("rank", "--word", MANY_ONES, "--d", "10000"), lambda: comb(20000, 10000)),
         (
             ("rank", "--word", ONES_THEN_ZEROS, "--d", "2000"),
             lambda: colorcomp.rank_word(ONES_THEN_ZEROS, 2000),
@@ -416,7 +420,7 @@ HUGE = "9" * 4400
             lambda: f"k=1:1 k=2:{int(HUGE) ** 2}",
         ),
     ],
-    ids=["pd-total", "family", "rank", "weighted-by-parts"],
+    ids=["pd-total", "family", "rank-many-ones", "rank", "weighted-by-parts"],
 )
 def test_counts_past_the_digit_limit_print_in_full(exact_decimal, argv, expected):
     """Each output has an integer of more than 4300 digits, Python's default limit."""

@@ -1,11 +1,12 @@
 """Rank/unrank and the bijective maps: golden rows, round trips, error paths."""
 
 import re
-from itertools import islice
+import threading
+from itertools import islice, product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colorcomp import (
     ColoredComposition,
@@ -33,6 +34,12 @@ from colorcomp.closedform import FAMILIES, KINDS, AtLeastM, Family, OneModM, One
 
 def cc(text, d=2):
     return ColoredComposition.parse(text, d)
+
+
+def colex_rank(word):
+    """1 + the sum of C(p, j) over the j-th one from the right, at position p."""
+    ones = [p for p, bit in enumerate(reversed(word)) if bit == "1"]
+    return 1 + sum(comb(p, j) for j, p in enumerate(ones, 1))
 
 
 class TestUnrank:
@@ -87,6 +94,70 @@ class TestRank:
         assert len(word) == n
         assert word.count("1") == d
         assert rank_word(word, d) == m
+
+    def test_exhaustive_against_the_binomial_sum(self):
+        """Every word of length <= 14 at every d: the rank, or the error the word earns."""
+        mismatches = []
+        for n in range(15):
+            for bits in product("01", repeat=n):
+                word = "".join(bits)
+                ones = word.count("1")
+                for d in range(-1, n + 2):
+                    if d < 1:
+                        want = (DomainError, f"d must be >= 1, got {d}")
+                    elif d != ones:
+                        want = (InputError, f"word {word!r} has {ones} ones, expected {d}")
+                    else:
+                        want = colex_rank(word)
+                    try:
+                        got = rank_word(word, d)
+                    except ColorCompError as exc:
+                        got = (type(exc), str(exc))
+                    if got != want:
+                        mismatches.append((word, d, got, want))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("word", ["0120", "10x1", "1 1", "١1", "11\n"])
+    def test_bad_characters_after_the_count_of_ones(self, word):
+        ones, shown = word.count("1"), re.escape(repr(word))
+        with pytest.raises(InputError, match=f"^word {shown} has {ones} ones, expected {ones + 1}$"):
+            rank_word(word, ones + 1)
+        with pytest.raises(InputError, match=f"^binary word may contain only 0/1, got {shown}$"):
+            rank_word(word, ones)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_round_trip_on_long_words(self, data):
+        n = data.draw(st.integers(1, 3000))
+        d = data.draw(st.integers(1, n))
+        m = data.draw(st.integers(1, comb(n, d)))
+        assert rank_word(unrank_word(m, n, d), d) == m
+
+    # Dense runs of ones reach large j with gaps of one or two, where each
+    # term is a step from the one before; sparse words keep j small against
+    # the gaps, where each term is a fresh comb.
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "1" * 3000 + "0" * 500,
+            "0" * 40 + "110" * 900 + "0" * 100,
+            "0" * 7 + "1" * 2000 + "0" * 300 + "1" * 2000 + "0",
+            "1" + "0" * 900 + ("1" + "0" * 100) * 40,
+            "10000000" * 30 + "0" * 5000,
+        ],
+        ids=["dense", "dense-gapped", "dense-two-runs", "sparse", "sparse-short-gaps"],
+    )
+    def test_both_kinds_of_term_against_the_binomial_sum(self, word):
+        assert rank_word(word, word.count("1")) == colex_rank(word)
+
+    def test_ten_thousand_ones_then_ten_thousand_zeros(self):
+        """Ranking costs about one small step per one: well under a second here."""
+        word = "1" * 10000 + "0" * 10000
+        got = []
+        worker = threading.Thread(target=lambda: got.append(rank_word(word, 10000)), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert got == [comb(20000, 10000)]
 
     def test_order_compatibility(self):
         for n in range(1, 13):

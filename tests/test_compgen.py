@@ -142,3 +142,25 @@ class TestEnumWeighted:
     def test_short_prefix(self):
         with pytest.raises(InputError):
             list(enum_weighted(WeightSeq((1, 1)), 3))
+
+    def test_more_parts_than_the_recursion_limit(self):
+        assert next(enum_weighted(WeightSeq((1,) * 1200), 1200)) == ((1, 1),) * 1200
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), (1, 3, 6, 10, 15, 21, 28, 36, 45, 55),
+         (0, 2, 0, 1, 3, 0, 0, 2, 1, 0), (2, 0, 1, 0, 0, 0, 0, 0, 0, 4)],
+        ids=["polytopic-1", "polytopic-2", "zeros", "sparse"],
+    )
+    def test_equals_the_recursive_walk(self, weights):
+        def walk(remaining):
+            for s in range(1, remaining + 1):
+                for c in range(1, weights[s - 1] + 1):
+                    if s == remaining:
+                        yield ((s, c),)
+                    else:
+                        for rest in walk(remaining - s):
+                            yield ((s, c),) + rest
+
+        for n in range(1, 11):
+            assert list(enum_weighted(WeightSeq(weights), n)) == list(walk(n)), n
