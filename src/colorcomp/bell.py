@@ -201,17 +201,37 @@ def invert_transform(w, n_max):
     return result
 
 
-def _partitions_k(n, k, max_part):
-    """Nonincreasing k-tuples of positive ints summing to n, parts <= max_part."""
-    if k == 0:
-        if n == 0:
-            yield ()
+def _partitions_k(n, k):
+    """Nonincreasing k-tuples of positive ints summing to n, for 1 <= k <= n.
+
+    Knuth's Algorithm H (TAOCP Vol. 4A, 7.2.1.4) on one list, so k is not
+    bounded by the recursion limit.  From (n-k+1, 1, ..., 1), each step
+    moves a unit from the first part to the second while they differ by
+    two or more; otherwise it raises the leftmost later part that is two
+    or more below the first, sets the parts between to its new value and
+    gives the first part the rest.
+    """
+    if k == 1:
+        yield (n,)
         return
-    # Smallest feasible first part is ceil(n / k).
-    lo = -(-n // k)
-    for first in range(min(n - k + 1, max_part), lo - 1, -1):
-        for rest in _partitions_k(n - first, k - 1, first):
-            yield (first,) + rest
+    a = [n - k + 1] + [1] * (k - 1) + [-1]  # a[k] = -1 ends the scan below
+    while True:
+        yield tuple(a[:k])
+        if a[1] < a[0] - 1:
+            a[0] -= 1
+            a[1] += 1
+            continue
+        j, s = 2, a[0] + a[1] - 1
+        while a[j] >= a[0] - 1:
+            s += a[j]
+            j += 1
+        if j == k:
+            return
+        x = a[j] = a[j] + 1
+        for i in range(j - 1, 0, -1):
+            a[i] = x
+            s -= x
+        a[0] = s
 
 
 def hoggatt_lind_count(w, n, k):
@@ -226,7 +246,7 @@ def hoggatt_lind_count(w, n, k):
     k = checked(k, "k", 1, n)
     ws = require_prefix(w, n)
     total = 0
-    for partition in _partitions_k(n, k, n):
+    for partition in _partitions_k(n, k):
         coeff, term = factorial(k), 1
         for part, run in groupby(partition):
             run_len = len(list(run))

@@ -97,29 +97,38 @@ def rank_word(word, d):
     ones = word.count("1")
     if ones != d:
         raise InputError(f"word {word!r} has {ones} ones, expected {d}")
-    if ones + word.count("0") != len(word):
-        raise InputError(f"binary word may contain only 0/1, got {word!r}")
-    return _rank(word)
+    return _segments(word, d)[0][1]
 
 
-def _rank(word):
-    """1 + the sum of C(p, j) over the j-th one from the right, at position p, of a 0/1 word.
+def _segments(word, d):
+    """The (size, rank) of each segment of a word, right to left, d ones to a segment.
 
-    Jumps from one '1' to the next with ``str.rfind``, so a run of zeros
-    costs no Python step.  Each term is a fresh ``comb(p, j)`` or one exact
-    step from the previous term C(q, j-1), the one at position q < p:
+    A one that arrives when its segment already holds d ones is a
+    separator; the rank of a segment is 1 + the sum of C(p, j) over its
+    j-th one from the right, at position p in the segment.  The word is
+    split once on '1', so a run of zeros costs no Python step.  Each term
+    is a fresh ``comb(p, j)`` or one exact step from the previous term
+    C(q, j-1), the one at position q < p in the same segment:
 
         C(p, j) = C(q, j-1) (q+1)...p / (j (q+2-j)...(p-j)),
 
     with p - q factors above and below.  The step wins where they are few
     against j, measured as 8(p - q) < j; the division is checked by
-    multiplying back.
+    multiplying back.  A term of 0 (ones at the segment's right end, p < j)
+    is never stepped from, and a separator resets the term.
     """
-    last = len(word) - 1
+    runs = word.split("1")
+    ones = len(runs) - 1
+    if ones + word.count("0") != len(word):
+        raise InputError(f"binary word may contain only 0/1, got {word!r}")
+    segments = []
     rank, term, q, j = 1, 0, 0, 0  # term = C(q, j) for the j-th one, at q
-    i = word.rfind("1")
-    while i >= 0:
-        p = last - i
+    p = len(runs.pop())  # the position of the next one in its segment
+    for run in reversed(runs):
+        if j == d:
+            segments.append((p - d + 1, rank))
+            rank, term, j, p = 1, 0, 0, len(run)
+            continue
         j += 1
         if term and 8 * (p - q) < j:
             numerator = term * prod(range(q + 1, p + 1))
@@ -131,8 +140,12 @@ def _rank(word):
             term = comb(p, j)
         rank += term
         q = p
-        i = word.rfind("1", 0, i)
-    return rank
+        p += 1 + len(run)
+    if j != d:
+        raise InputError(f"word with {ones} ones cannot split into segments of {d} ones")
+    # A segment of length s + d - 1 with d ones ranks into 1..C(s + d - 1, d).
+    segments.append((p - d + 1, rank))
+    return segments
 
 
 def to_binary(alpha):
@@ -181,32 +194,11 @@ def from_binary(beta, d):
 
     Segmentation cuts strictly before every (d+1)-th remaining one, so
     each segment carries exactly d ones and trailing zeros stay attached
-    to their part.  One right-to-left pass validates the characters, cuts
-    the segments and ranks each one: a one that arrives when the current
-    segment already holds d ones is a separator.
+    to their part; ``_segments`` cuts and ranks them in one pass.
     """
     _check_word(beta)
     d = checked(d, "d")
-    parts = []
-    rank, ones, start = 1, 0, len(beta)  # the current segment is beta[i + 1:start]
-    for i in range(len(beta) - 1, -1, -1):
-        ch = beta[i]
-        if ch == "1":
-            if ones == d:
-                parts.append((start - i - d, rank))
-                rank, ones, start = 1, 0, i
-            else:
-                ones += 1
-                rank += comb(start - 1 - i, ones)
-        elif ch != "0":
-            raise InputError(f"binary word may contain only 0/1, got {beta!r}")
-    if ones != d:
-        total = len(parts) * (d + 1) + ones
-        raise InputError(
-            f"word with {total} ones cannot split into segments of {d} ones"
-        )
-    # A segment of length s + d - 1 with d ones ranks into 1..C(s + d - 1, d).
-    parts.append((start - d + 1, rank))
+    parts = _segments(beta, d)
     parts.reverse()
     return ColoredComposition._trusted(d, tuple(parts))
 

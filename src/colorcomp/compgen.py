@@ -8,8 +8,8 @@ streams in the test suite.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import product
 
 from .bell import require_prefix
 from .closedform import family_rules, num_colors
@@ -124,9 +124,34 @@ def enum_colored(nu, d, k=None):
     part_counts = range(1, nu + 1) if k is None else (checked(k, "k", 1, nu),)
     for kk in part_counts:
         for sizes in _size_tuples_desc(nu, kk):
-            ranges = [range(1, num_colors(s, d) + 1) for s in sizes]
-            for colors in product(*ranges):
-                yield ColoredComposition._trusted(d, tuple(zip(sizes, colors)))
+            yield from _colorings(sizes, d)
+
+
+def _colorings(sizes, d):
+    """Every coloring of the part sizes ``sizes``, the leftmost color most significant.
+
+    An odometer over the colors of all parts but the last, stepped in one
+    list, with the last part's colors run from a plain ``range``: no
+    color range is ever held in memory.  A part with more colors than a
+    machine index counts is refused: its rows could never all be listed.
+    """
+    bounds = [num_colors(s, d) for s in sizes]
+    if max(bounds) > sys.maxsize:
+        raise OverflowError(f"a part of size {max(sizes)} has more than {sys.maxsize} colors")
+    *head_sizes, last = sizes
+    colors = [1] * (len(sizes) - 1)
+    last_colors = range(1, bounds[-1] + 1)
+    while True:
+        head = tuple(zip(head_sizes, colors))
+        for c in last_colors:
+            yield ColoredComposition._trusted(d, (*head, (last, c)))
+        i = len(colors) - 1
+        while i >= 0 and colors[i] == bounds[i]:
+            colors[i] = 1
+            i -= 1
+        if i < 0:
+            return
+        colors[i] += 1
 
 
 def enum_family(family, n):

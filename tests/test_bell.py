@@ -16,7 +16,7 @@ from colorcomp import (
     weighted_count,
     weighted_count_k,
 )
-from colorcomp.bell import require_prefix
+from colorcomp.bell import _partitions_k, require_prefix
 
 ONE_TWO = WeightSeq((1, 1) + (0,) * 10)
 
@@ -144,6 +144,29 @@ class TestHoggattLind:
 
     def test_polytopic_two_parts(self):
         assert hoggatt_lind_count(WeightSeq.polytopic(2, 3), 3, 2) == 6
+
+    @pytest.mark.parametrize("w", [WeightSeq.ones(1200), WeightSeq.polytopic(2, 1200)], ids=["ones", "p2"])
+    @pytest.mark.parametrize("k", [1199, 1200])
+    def test_more_parts_than_the_recursion_limit(self, w, k):
+        assert hoggatt_lind_count(w, 1200, k) == weighted_count_k(w, 1200, k)
+
+
+def recursive_partitions(n, k, max_part):
+    """Oracle for the list walker: the largest part descending, then the rest recursively."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(min(n - k + 1, max_part), -(-n // k) - 1, -1):
+        for rest in recursive_partitions(n - first, k - 1, first):
+            yield (first,) + rest
+
+
+def test_partitions_are_those_of_the_recursive_walk_once_each():
+    for n in range(1, 19):
+        for k in range(1, n + 1):
+            walked = list(_partitions_k(n, k))
+            assert sorted(walked) == sorted(recursive_partitions(n, k, n)), (n, k)
 
 
 WEIGHT_SUITE = [

@@ -42,6 +42,14 @@ def colex_rank(word):
     return 1 + sum(comb(p, j) for j, p in enumerate(ones, 1))
 
 
+def cut_and_rank(word, d):
+    """The (size, color) parts of a codeword: cut at every (d+1)-th one from the right, rank each piece."""
+    ones = [i for i in range(len(word) - 1, -1, -1) if word[i] == "1"]
+    cuts = ones[d :: d + 1]
+    pieces = [word[a:b] for a, b in zip([c + 1 for c in cuts] + [0], [len(word)] + cuts)]
+    return tuple((len(piece) - d + 1, colex_rank(piece)) for piece in reversed(pieces))
+
+
 class TestUnrank:
     def test_table_rows_d2(self):
         assert unrank_word(2, 3, 2) == "101"
@@ -124,6 +132,10 @@ class TestRank:
             rank_word(word, ones + 1)
         with pytest.raises(InputError, match=f"^binary word may contain only 0/1, got {shown}$"):
             rank_word(word, ones)
+        # from_binary names the characters before it tries to cut the segments.
+        for d in (ones, ones + 1):
+            with pytest.raises(InputError, match=f"^binary word may contain only 0/1, got {shown}$"):
+                from_binary(word, d)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -205,6 +217,56 @@ class TestBinaryCodec:
         assert len(beta) == nu + d * k - 1
         assert beta.count("1") == (d + 1) * k - 1
         assert from_binary(beta, d) == alpha
+
+    def test_exhaustive_against_cut_and_rank(self):
+        """Every word of length <= 14 at every d: the parts, or the error the word earns."""
+        mismatches = []
+        for n in range(15):
+            for bits in product("01", repeat=n):
+                word = "".join(bits)
+                ones = word.count("1")
+                for d in range(-1, n + 2):
+                    if d < 1:
+                        want = (DomainError, f"d must be >= 1, got {d}")
+                    elif (ones + 1) % (d + 1):
+                        want = (InputError, f"word with {ones} ones cannot split into segments of {d} ones")
+                    else:
+                        want = ColoredComposition(d, cut_and_rank(word, d))
+                    try:
+                        got = from_binary(word, d)
+                    except ColorCompError as exc:
+                        got = (type(exc), str(exc))
+                    if got != want:
+                        mismatches.append((word, d, got, want))
+        assert mismatches == []
+
+    # Past d = 8 the later ones of a segment step from the term before.
+    # Color 2 packs d - 1 ones at the right end, whose terms are 0, and one
+    # more past a zero.  A part of color 1 left of another has its ones
+    # right next to the separator, where the term left from the segment
+    # to the right must not be stepped from.
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_round_trip_at_large_d(self, data):
+        d = data.draw(st.integers(9, 60))
+        k = data.draw(st.integers(2, 6))
+        parts = []
+        for _ in range(k):
+            size = data.draw(st.integers(1, 40))
+            top = comb(size + d - 1, d)
+            color = data.draw(st.sampled_from((1, min(2, top), top)) | st.integers(1, top))
+            parts.append((size, color))
+        alpha = ColoredComposition(d, tuple(parts))
+        assert from_binary(to_binary(alpha), d) == alpha
+
+    def test_ten_thousand_ones_then_ten_thousand_zeros(self):
+        """Decoding shares rank_word's steps: one part of 10 001, well under a second here."""
+        word = "1" * 10000 + "0" * 10000
+        got = []
+        worker = threading.Thread(target=lambda: got.append(from_binary(word, 10000)), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert got == [ColoredComposition(10000, ((10001, comb(20000, 10000)),))]
 
     def test_image_is_all_words_of_right_weight(self):
         for d in (1, 2, 3):

@@ -1,5 +1,8 @@
 """Enumeration streams: canonical order, completeness, no duplicates."""
 
+import tracemalloc
+from itertools import product
+
 import pytest
 
 from colorcomp import (
@@ -80,6 +83,28 @@ class TestEnumColored:
     def test_bad_k(self):
         with pytest.raises(DomainError):
             list(enum_colored(3, 2, 4))
+
+    def test_colors_in_the_order_of_their_product(self):
+        for nu in range(1, 8):
+            for d in range(1, 4):
+                want = [
+                    ColoredComposition(d, tuple(zip(sizes, colors)))
+                    for k in range(1, nu + 1)
+                    for sizes in _size_tuples_desc(nu, k)
+                    for colors in product(*(range(1, num_colors(s, d) + 1) for s in sizes))
+                ]
+                assert list(enum_colored(nu, d)) == want, (nu, d)
+
+    def test_first_row_holds_no_color_range(self):
+        """A part of size 20 at d = 8 has 2 220 075 colors; the first row needs none of them."""
+        tracemalloc.start()
+        try:
+            first = next(enum_colored(20, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(first) == "20^1"
+        assert peak < 1_000_000
 
 
 def recursive_size_tuples(n, k):
