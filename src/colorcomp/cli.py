@@ -25,25 +25,31 @@ _MAPS = {
 
 
 def _parse_weights(spec):
-    """Weights from a comma list or a file with one integer per line."""
+    """Weights from a comma list or a file with one integer per line.
+
+    Every entry is one weight, so an empty entry is an error rather than
+    skipped; only blank lines at the end of a file are dropped.
+    """
     if os.path.isfile(spec):
         try:
             with open(spec) as fh:
-                entries = [line.strip() for line in fh if line.strip()]
+                entries = fh.read().rstrip().splitlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read weights file {spec!r}: {exc}") from None
     else:
-        entries = [tok.strip() for tok in spec.split(",") if tok.strip()]
-    try:
-        weights = [int(e) for e in entries]
-    except ValueError:
-        raise InputError(f"weights must be integers, got {entries!r}") from None
+        entries = spec.split(",")
+    weights = []
+    for i, entry in enumerate(entries, 1):
+        try:
+            weights.append(int(entry))
+        except ValueError:
+            raise InputError(f"weight {i} must be an integer, got {entry!r}") from None
     return bell.WeightSeq(weights)
 
 
 def _parse_composition(text):
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise InputError(f"bad composition {text!r}, expected comma-separated ints") from None
 

@@ -6,8 +6,10 @@ m, and parts at least m, each one row of ``FAMILIES``, the one home of
 their part rules, closed forms, image totals and word-level bijections.
 
 ``count_pd`` and ``count_family`` run exact linear recurrences read off
-the generating functions: P(x) = x/((1-x)^(d+1) - x) for the total, and
-1/(1-x-x^m), shifted by one offset per kind, for the families.  The
+the generating functions.  For the total, P = W/(1-W) with
+W = x/(1-x)^(d+1), so P = W (1 + P) is a shift and d+1 running sums per
+term (an order-(d+1) recurrence where nu <= d+1); for the families,
+1/(1-x-x^m), shifted by one offset per kind.  The
 paper's binomial sums (``count_pd_k`` summed over k, and each row's
 ``count``) are their oracle in ``verify`` and the tests.  The sums are
 evaluated for all n >= 1; the vanishing-binomial convention C(a, b) = 0
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -182,13 +185,24 @@ def count_pd_k(nu, d, k):
 def count_pd(nu, d):
     """Total number of polytopic-color compositions of nu.
 
-    ((1-x)^(d+1) - x) P(x) = x gives the order-(d+1) recurrence
+    P = W (1 + P) with W = x/(1-x)^(d+1), and multiplying by W is a shift
+    followed by d+1 running sums.  Where d+1 < nu, d+2 sums are kept:
+    S^0_n = [n=1] + P_(n-1), S^j_n = S^j_(n-1) + S^(j-1)_n, and P_n is the
+    last, so each term costs d+1 additions and nothing else.
+
+    Elsewhere ((1-x)^(d+1) - x) P(x) = x gives the order-(d+1) recurrence
     P_n = [n=1] + P_(n-1) + sum_(i=1..d+1) (-1)^(i+1) C(d+1, i) P_(n-i),
-    with P_n = 0 for n <= 0: no division, and only the first
-    min(nu-1, d+1) coefficients are ever needed.
+    with P_n = 0 for n <= 0, of which only the first nu-1 coefficients are
+    ever needed: nu-1 terms, where running sums would keep d+2.
     """
     nu, d = checked(nu, "nu"), checked(d, "d")
-    r = min(nu - 1, d + 1)
+    if d + 1 < nu:
+        sums = [1] + [0] * (d + 1)
+        for _ in range(nu):
+            sums = list(accumulate(sums))
+            sums[0] = sums[-1]
+        return sums[-1]
+    r = nu - 1
     coeffs = [comb(d + 1, i) if i % 2 else -comb(d + 1, i) for i in range(1, r + 1)]
     window = deque([1], maxlen=max(r, 1))  # the last r of P_1, P_2, ...
     for _ in range(nu - 1):

@@ -99,6 +99,39 @@ class TestCount:
         assert code == 0
         assert out.strip().isdigit() and len(out.strip()) > 20
 
+    # Every entry is one weight, so an empty one is refused, not skipped: skipping
+    # it would shift the sizes of the weights after it.
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("1,,2,3", "weight 2 must be an integer, got ''"),
+            ("1,2,3,", "weight 4 must be an integer, got ''"),
+            ("1, ,2,3", "weight 2 must be an integer, got ' '"),
+        ],
+    )
+    def test_weights_with_an_empty_entry_are_one_error(self, capsys, weights, message):
+        code, out, err = run(capsys, "count", "weighted", "--n", "3", "--weights", weights)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_weights_file_with_a_blank_line_between_entries_is_one_error(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("1\n\n2\n3\n")
+        code, out, err = run(capsys, "count", "weighted", "--n", "3", "--weights", str(path))
+        assert (code, out, err) == (1, "", "error: weight 2 must be an integer, got ''\n")
+
+    # The message names the one bad entry, not the whole list.
+    def test_weights_file_error_names_only_the_bad_line(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("1\n" * 5000 + "x\n" + "1\n" * 5000)
+        code, out, err = run(capsys, "count", "weighted", "--n", "3", "--weights", str(path))
+        assert (code, out, err) == (1, "", "error: weight 5001 must be an integer, got 'x'\n")
+
+    def test_weights_file_may_end_in_blank_lines(self, capsys, tmp_path):
+        path = tmp_path / "weights.txt"
+        path.write_text("1\n2\n3\n\n  \n")
+        code, out, _ = run(capsys, "count", "weighted", "--n", "3", "--weights", str(path))
+        assert (code, out) == (0, "8\n")
+
     def test_weights_file_not_text(self, capsys, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_bytes(b"\xff\xfe1\n2\n")
@@ -295,6 +328,12 @@ class TestExitCodes:
         total = sum(map(int, image.split(",")))
         assert (code, out) == (1, "")
         assert err == f"error: parts summing to {total} are not a ge image for d=2\n"
+
+    @pytest.mark.parametrize("image", ["3,,1,1", "3,1,1,", ",3,1,1"])
+    def test_inverse_map_of_an_empty_entry_is_one(self, capsys, image):
+        code, out, err = run(capsys, "map", "--to", "ones", "--d", "2", "--inverse", "--input", image)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad composition {image!r}, expected comma-separated ints\n"
 
     def test_bad_input_is_one(self, capsys):
         code, _, err = run(capsys, "rank", "--word", "12", "--d", "1")

@@ -1,9 +1,11 @@
 """Closed-form counts against golden values, brute force, and the Bell layer."""
 
+import threading
 import tracemalloc
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorcomp import (
     AtLeastM,
@@ -27,6 +29,29 @@ def fibonacci(n):
     for _ in range(n - 2):
         a, b = b, a + b
     return b if n >= 2 else a
+
+
+def fibonacci_doubling(n):
+    """(F_n, F_(n+1)) by fast doubling: F_2j = F_j (2 F_(j+1) - F_j), F_(2j+1) = F_j^2 + F_(j+1)^2."""
+    if n == 0:
+        return 0, 1
+    a, b = fibonacci_doubling(n // 2)
+    c, e = a * (2 * b - a), a * a + b * b
+    return (e, c + e) if n % 2 else (c, e)
+
+
+def paper_sum(nu, d):
+    """The paper's total, sum_k C(nu+dk-1, nu-k), with math.comb and nothing of the library."""
+    return sum(comb(nu + d * k - 1, nu - k) for k in range(1, nu + 1))
+
+
+def in_thread(call, seconds=5):
+    """The value of call() if it returns within the given seconds, else None."""
+    got = []
+    worker = threading.Thread(target=lambda: got.append(call()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    return got[0] if got else None
 
 
 class TestFamilyType:
@@ -81,6 +106,29 @@ class TestCountPd:
         assert count_pd(3, 1) == 8
         for nu in range(1, 21):
             assert count_pd(nu, 1) == fibonacci(2 * nu)
+
+    def test_d_one_at_large_nu_is_fast_doubling_fibonacci(self):
+        assert count_pd(5000, 1) == fibonacci_doubling(10000)[0]
+
+    # Both routes and the boundary between them: running sums where d+1 < nu,
+    # the order-(d+1) recurrence where d+1 >= nu.
+    def test_equals_the_paper_sum_on_both_sides_of_d_plus_one_equal_nu(self):
+        for nu in range(1, 61):
+            for d in range(1, 71):
+                assert count_pd(nu, d) == paper_sum(nu, d), (nu, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_paper_sum_under_hypothesis(self, data):
+        nu = data.draw(st.integers(1, 400), label="nu")
+        d = data.draw(st.integers(1, 2 * nu), label="d")
+        assert count_pd(nu, d) == paper_sum(nu, d)
+
+    # With d far past nu the work is in nu, not d: nu-1 recurrence terms, no d-sized list.
+    def test_huge_d_at_small_nu_answers_at_once(self):
+        d = 10**30
+        assert in_thread(lambda: count_pd(3, d)) == (d + 2) * (d + 1) // 2 + 2 * d + 3
+        assert in_thread(lambda: count_pd(1, d)) == 1
 
 
 class TestCountFamily:
