@@ -94,17 +94,27 @@ def _exact_div(value, divisor, context):
     return q
 
 
+def _point(x):
+    """The point x as a tuple of ints; InputError for anything else."""
+    try:
+        entries = iter(x)
+    except TypeError:
+        raise InputError(f"x must be a sequence of integers, got {x!r}") from None
+    return tuple(as_int(v, "x entry") for v in entries)
+
+
 def partial_bell_table(n, x):
     """All values B[(a, b)] for 0 <= b <= a <= n at the point x.
 
-    ``x`` is a sequence with ``x[0]`` playing the role of x_1.  Computed
-    bottom-up from B_{0,0} = 1 via
+    ``x`` is a sequence of integers with ``x[0]`` playing the role of x_1.
+    Computed bottom-up from B_{0,0} = 1 via
 
         B_{a,b} = (1/b) * sum_j C(a, j) * x_j * B_{a-j, b-1}.
 
     Missing (a, b) keys are zero.
     """
     n = checked(n, "n", 0)
+    x = _point(x)
     table = {(0, 0): 1}
     # Only cells with a - b <= len(x) - 1 are computable from the given
     # prefix; cells outside that band are not needed for any such target.
@@ -122,11 +132,12 @@ def partial_bell_table(n, x):
 def partial_bell(n, k, x):
     """Partial (exponential) Bell polynomial B_{n,k} evaluated at x.
 
-    ``x`` is a sequence with ``x[0]`` = x_1; at least n - k + 1 entries
-    are required.  Requires 1 <= k <= n.
+    ``x`` is a sequence of integers with ``x[0]`` = x_1; at least
+    n - k + 1 entries are required.  Requires 1 <= k <= n.
     """
     n = checked(n, "n")
     k = checked(k, "k", 1, n)
+    x = _point(x)
     if len(x) < n - k + 1:
         raise InputError(
             f"partial_bell(n={n}, k={k}) needs {n - k + 1} entries of x, got {len(x)}"

@@ -24,13 +24,23 @@ _MAPS = {
 }
 
 
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_weights(spec):
     """Weights from a comma list or a file with one integer per line.
 
+    A spec that names an existing path, or that has no comma and is not an
+    integer, is a file, so a missing file or a directory is a read error.
     Every entry is one weight, so an empty entry is an error rather than
     skipped; only blank lines at the end of a file are dropped.
     """
-    if os.path.isfile(spec):
+    if os.path.exists(spec) or ("," not in spec and not _is_int(spec)):
         try:
             with open(spec) as fh:
                 entries = fh.read().rstrip().splitlines()

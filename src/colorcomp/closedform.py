@@ -8,22 +8,21 @@ their part rules, closed forms, image totals and word-level bijections.
 ``count_pd`` and ``count_family`` run exact linear recurrences read off
 the generating functions.  For the total, P = W/(1-W) with
 W = x/(1-x)^(d+1), so P = W (1 + P) is a shift and d+1 running sums per
-term (an order-(d+1) recurrence where nu <= d+1); for the families,
-1/(1-x-x^m), shifted by one offset per kind.  The
-paper's binomial sums (``count_pd_k`` summed over k, and each row's
-``count``) are their oracle in ``verify`` and the tests.  The sums are
-evaluated for all n >= 1; the vanishing-binomial convention C(a, b) = 0
-for b < 0 or b > a makes them correct below the paper-stated thresholds
-as well (confirmed against brute-force enumeration in the test suite).
+term where d+1 < nu; where d+1 >= nu ``count_pd`` is the paper's sum of
+``count_pd_k`` over k.  For the families, 1/(1-x-x^m), shifted by one
+offset per kind.  The paper's binomial sums (``count_pd_k`` summed over
+k, and each row's ``count``) are their oracle in ``verify`` and the
+tests.  The sums are evaluated for all n >= 1; the vanishing-binomial
+convention C(a, b) = 0 for b < 0 or b > a makes them correct below the
+paper-stated thresholds as well (confirmed against brute-force
+enumeration in the test suite).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, prod
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, InputError, InternalError, as_int, checked
@@ -190,10 +189,9 @@ def count_pd(nu, d):
     S^0_n = [n=1] + P_(n-1), S^j_n = S^j_(n-1) + S^(j-1)_n, and P_n is the
     last, so each term costs d+1 additions and nothing else.
 
-    Elsewhere ((1-x)^(d+1) - x) P(x) = x gives the order-(d+1) recurrence
-    P_n = [n=1] + P_(n-1) + sum_(i=1..d+1) (-1)^(i+1) C(d+1, i) P_(n-i),
-    with P_n = 0 for n <= 0, of which only the first nu-1 coefficients are
-    ever needed: nu-1 terms, where running sums would keep d+2.
+    Elsewhere the running sums would keep d+2 entries for only nu terms,
+    so the total is the paper's sum of ``count_pd_k`` over k: nu
+    binomials of fewer than nu factors each, nothing of size d.
     """
     nu, d = checked(nu, "nu"), checked(d, "d")
     if d + 1 < nu:
@@ -202,12 +200,7 @@ def count_pd(nu, d):
             sums = list(accumulate(sums))
             sums[0] = sums[-1]
         return sums[-1]
-    r = nu - 1
-    coeffs = [comb(d + 1, i) if i % 2 else -comb(d + 1, i) for i in range(1, r + 1)]
-    window = deque([1], maxlen=max(r, 1))  # the last r of P_1, P_2, ...
-    for _ in range(nu - 1):
-        window.append(window[-1] + sum(map(mul, coeffs, reversed(window))))
-    return window[-1]
+    return sum(count_pd_k(nu, d, k) for k in range(1, nu + 1))
 
 
 def _ones_and_m(j, m):

@@ -155,10 +155,10 @@ def check_counts(nu_max, d_max):
     Checks the four-way equality between the polytopic count and the
     three restricted-family counts, each both by the paper's binomial sum
     (``count_pd_k`` over k, each ``FAMILIES`` row's ``count``) and by its
-    recurrence (``count_pd``, ``count_family``), and the Bell-vs-binomial
-    identity per part count.  Per d, one ``partial_bell_table`` at
-    x_j = j! * num_colors(j, d) gives k! * B_{nu,k}, compared with nu!
-    times each count: no division.
+    recurrence (``count_pd`` where d+1 < nu, ``count_family``), and the
+    Bell-vs-binomial identity per part count.  Per d, one
+    ``partial_bell_table`` at x_j = j! * num_colors(j, d) gives
+    k! * B_{nu,k}, compared with nu! times each count: no division.
     """
     nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
     grid = f"nu<={nu_max}, d<={d_max}"

@@ -152,6 +152,18 @@ class TestCount:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Permission denied" in err
 
+    # A path that is missing or is a directory is a read error with the OS reason,
+    # not a bad weight.
+    @pytest.mark.parametrize(
+        "name, reason", [("missing.txt", "No such file"), ("", "directory")], ids=["missing", "dir"]
+    )
+    def test_weights_path_missing_or_a_directory(self, capsys, tmp_path, name, reason):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "count", "weighted", "--n", "2", "--weights", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read weights file {path!r}: ")
+        assert reason in err and err.count("\n") == 1
+
 
 def json_row(alpha, with_word, kind):
     """A ``list colored --format json`` line built as a dict passed to json.dumps,

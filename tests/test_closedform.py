@@ -13,6 +13,7 @@ from colorcomp import (
     Family,
     OneModM,
     OnesAndM,
+    WeightSeq,
     count_family,
     count_pd,
     count_pd_k,
@@ -20,6 +21,7 @@ from colorcomp import (
     enum_family,
     num_colors,
     partial_bell,
+    weighted_count,
 )
 
 
@@ -111,7 +113,7 @@ class TestCountPd:
         assert count_pd(5000, 1) == fibonacci_doubling(10000)[0]
 
     # Both routes and the boundary between them: running sums where d+1 < nu,
-    # the order-(d+1) recurrence where d+1 >= nu.
+    # the sum of count_pd_k over k where d+1 >= nu.
     def test_equals_the_paper_sum_on_both_sides_of_d_plus_one_equal_nu(self):
         for nu in range(1, 61):
             for d in range(1, 71):
@@ -124,11 +126,23 @@ class TestCountPd:
         d = data.draw(st.integers(1, 2 * nu), label="d")
         assert count_pd(nu, d) == paper_sum(nu, d)
 
-    # With d far past nu the work is in nu, not d: nu-1 recurrence terms, no d-sized list.
+    # With d far past nu the work is in nu, not d: nu binomials, no d-sized list.
     def test_huge_d_at_small_nu_answers_at_once(self):
         d = 10**30
         assert in_thread(lambda: count_pd(3, d)) == (d + 2) * (d + 1) // 2 + 2 * d + 3
         assert in_thread(lambda: count_pd(1, d)) == 1
+
+    # The definition: the invert transform of the colors C(j+d-1, d), a
+    # convolution that shares no code with count_pd_k, on both sides of d+1 = nu.
+    def test_equals_the_invert_transform_of_the_colors(self):
+        for nu in range(1, 41):
+            for d in range(1, 61):
+                assert count_pd(nu, d) == weighted_count(WeightSeq.polytopic(d, nu), nu), (nu, d)
+
+    # At d+1 = nu the total is that of compositions of nu^2 - 1 into parts 1 and nu.
+    def test_on_the_boundary_at_nu_2000_within_seconds(self):
+        total = in_thread(lambda: count_pd(2000, 1999), 10)
+        assert total == count_family(OnesAndM(2000), 2000 * 2000 - 1)
 
 
 class TestCountFamily:

@@ -68,6 +68,11 @@ REJECTED = [
     ("float n in invert", lambda: invert_transform(W, 2.0)),
     ("float n in partition sum", lambda: hoggatt_lind_count(W, 3.0, 2)),
     ("float n in Bell", lambda: partial_bell(3.0, 2, [1, 1])),
+    ("float x entry in Bell", lambda: partial_bell(3, 2, [1.5, 2.0, 1.0])),
+    ("string x entry in Bell", lambda: partial_bell(3, 2, [1, "a", 1])),
+    ("None x entry in Bell", lambda: partial_bell(3, 2, [1, None, 1])),
+    ("bool x entry in Bell", lambda: partial_bell(3, 2, [True, 1, 1])),
+    ("int x in Bell", lambda: partial_bell(3, 2, 5)),
     ("bool n in enum_weighted", lambda: enum_weighted(W, True)),
     ("fractional weight", lambda: WeightSeq((1.7, 2))),
     ("float d in polytopic", lambda: WeightSeq.polytopic(2.0, 3)),
