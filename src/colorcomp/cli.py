@@ -2,14 +2,16 @@
 maps, and the self-verification suite.
 
 Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
-All counts are printed in full decimal.
+All counts are printed in full decimal.  Listings write each row with one
+``write`` (or csv ``writerow``) call; ``list colored`` writes one block of
+rows that differ only in the last color at a time, so what depends on the
+other parts is formatted and encoded once per block.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -87,49 +89,87 @@ def _cmd_count(args):
     return 0
 
 
-def _emit_colored_row(alpha, word, image, fmt, writer):
+def _colored_row_writer(fmt):
+    """A function (text, word=None, image=None) writing one ``list colored`` row in ``fmt``
+    with one call; ``text`` is the composition (for json, the object up to "d")."""
+    write = sys.stdout.write
     if fmt == "json":
-        # Every value is an int or a 0/1 string, so this is json.dumps's text.
-        parts = ", ".join([f'{{"size": {s}, "color": {c}}}' for s, c in alpha.parts])
-        line = f'{{"parts": [{parts}], "d": {alpha.d}'
-        if word is not None:
-            line += f', "word": "{word}"'
-        if image is not None:
-            line += f', "image": [{", ".join(map(str, image))}]'
-        print(line + "}")
-        return
-    fields = [str(alpha)]
-    if word is not None:
-        fields.append(word)
-    if image is not None:
-        fields.append(",".join(str(p) for p in image))
-    if fmt == "csv":
-        writer.writerow(fields)
+        # Every value is an int or a 0/1 string, and a list of ints prints
+        # as json.dumps prints it, so this is json.dumps's text.
+        def row(text, word=None, image=None):
+            if image is not None:
+                write(f'{text}, "word": "{word}", "image": {list(image)}}}\n')
+            elif word is not None:
+                write(f'{text}, "word": "{word}"}}\n')
+            else:
+                write(text + "}\n")
+
+    elif fmt == "csv":
+        writerow = csv.writer(sys.stdout).writerow
+
+        def row(text, word=None, image=None):
+            if image is not None:
+                writerow((text, word, ",".join(map(str, image))))
+            elif word is not None:
+                writerow((text, word))
+            else:
+                writerow((text,))
+
     else:
-        print(" | ".join(fields))
+
+        def row(text, word=None, image=None):
+            if image is not None:
+                write(f'{text} | {word} | {",".join(map(str, image))}\n')
+            elif word is not None:
+                write(f"{text} | {word}\n")
+            else:
+                write(text + "\n")
+
+    return row
+
+
+def _write_colored(args):
+    """Write the rows of ``list colored`` one block of ``compgen._blocks`` at a time.
+
+    The rows of a block share every part but the last, so the head's text
+    and its parts' words, each followed by its separating '1', are built
+    once per block; a row adds its last part, its word from the table of
+    part words and the image of that word.  A block's colors stay a range.
+    """
+    kind = args.map_to
+    d, blocks = compgen._blocks(args.nu, args.d, args.k)
+    words = codec._PartWords(d) if args.with_word or kind else None
+    row = _colored_row_writer(args.format)
+    for head, last, colors in blocks:
+        if args.format == "json":
+            parts = "".join([f'{{"size": {s}, "color": {c}}}, ' for s, c in head])
+            left, right = f'{{"parts": [{parts}{{"size": {last}, "color": ', f'}}], "d": {d}'
+        else:
+            left, right = "".join([f"{s}^{c}," for s, c in head]) + f"{last}^", ""
+        if words is None:
+            for c in colors:
+                row(f"{left}{c}{right}")
+            continue
+        prefix = "".join([words[part] + "1" for part in head])
+        for c in colors:
+            word = prefix + words[last, c]
+            row(f"{left}{c}{right}", word, codec.image_of_word(kind, word, d) if kind else None)
 
 
 def _cmd_list(args):
-    fmt = args.format
-    writer = csv.writer(sys.stdout) if fmt == "csv" else None
     if args.what == "colored":
-        kind = args.map_to
-        if args.with_word or kind is not None:
-            rows = codec.enum_words(args.nu, args.d, args.k)
+        _write_colored(args)
+        return 0
+    fmt = args.format
+    write, writerow = sys.stdout.write, csv.writer(sys.stdout).writerow
+    for parts in compgen.enum_family(Family(args.kind, args.m), args.n):
+        if fmt == "json":
+            # A list of ints prints as json.dumps prints it.
+            write(f'{{"parts": {list(parts)}}}\n')
+        elif fmt == "csv":
+            writerow((",".join(map(str, parts)),))
         else:
-            rows = ((alpha, None) for alpha in compgen.enum_colored(args.nu, args.d, args.k))
-        for alpha, word in rows:
-            image = codec.image_of_word(kind, word, args.d) if kind else None
-            _emit_colored_row(alpha, word, image, fmt, writer)
-    else:  # family
-        family = Family(args.kind, args.m)
-        for parts in compgen.enum_family(family, args.n):
-            if fmt == "json":
-                print(json.dumps({"parts": list(parts)}))
-            elif fmt == "csv":
-                writer.writerow([",".join(str(p) for p in parts)])
-            else:
-                print(",".join(str(p) for p in parts))
+            write(",".join(map(str, parts)) + "\n")
     return 0
 
 

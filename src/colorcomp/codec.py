@@ -171,7 +171,7 @@ class _PartWords(dict):
 
     def __missing__(self, part):
         size, color = part
-        d = index(self.d)  # checked by enum_colored before the first row
+        d = index(self.d)  # checked by compgen._blocks before the first row
         word = self[part] = _unrank(color - 1, size + d - 1, d)
         return word
 

@@ -118,22 +118,42 @@ def enum_colored(nu, d, k=None):
 
     Canonical order: ascending part count; within a part count, size
     tuples in descending lexicographic order; within fixed sizes, color
-    tuples ascending with the leftmost color most significant.
+    tuples ascending with the leftmost color most significant.  The rows
+    are the blocks of ``_blocks`` expanded, one row per last color.
+    """
+    d, blocks = _blocks(nu, d, k)
+    for head, last, colors in blocks:
+        for c in colors:
+            yield ColoredComposition._trusted(d, (*head, (last, c)))
+
+
+def _blocks(nu, d, k=None):
+    """The checked d, and a stream of the blocks of enum_colored(nu, d, k) in order.
+
+    A block (head, last, colors) holds the rows that share every part but
+    the last: ``head`` is their (size, color) pairs, ``last`` the last
+    part's size and ``colors`` the ``range`` of its colors.  The arguments
+    are checked here, before the first block is asked for.
     """
     nu, d = checked(nu, "nu"), checked(d, "d")
     part_counts = range(1, nu + 1) if k is None else (checked(k, "k", 1, nu),)
-    for kk in part_counts:
-        for sizes in _size_tuples_desc(nu, kk):
-            yield from _colorings(sizes, d)
+    return d, (
+        block
+        for kk in part_counts
+        for sizes in _size_tuples_desc(nu, kk)
+        for block in _colorings(sizes, d)
+    )
 
 
 def _colorings(sizes, d):
-    """Every coloring of the part sizes ``sizes``, the leftmost color most significant.
+    """Every coloring of the part sizes ``sizes`` as blocks, the leftmost color most significant.
 
     An odometer over the colors of all parts but the last, stepped in one
-    list, with the last part's colors run from a plain ``range``: no
-    color range is ever held in memory.  A part with more colors than a
-    machine index counts is refused: its rows could never all be listed.
+    list; each of its positions is one block, whose last part's colors
+    are a plain ``range``, the odometer's fastest digit (Knuth's mixed-radix
+    generation, TAOCP 4A, 7.2.1.1, Algorithm M).  No color range is ever
+    held in memory.  A part with more colors than a machine index counts
+    is refused: its rows could never all be listed.
     """
     bounds = [num_colors(s, d) for s in sizes]
     if max(bounds) > sys.maxsize:
@@ -142,9 +162,7 @@ def _colorings(sizes, d):
     colors = [1] * (len(sizes) - 1)
     last_colors = range(1, bounds[-1] + 1)
     while True:
-        head = tuple(zip(head_sizes, colors))
-        for c in last_colors:
-            yield ColoredComposition._trusted(d, (*head, (last, c)))
+        yield tuple(zip(head_sizes, colors)), last, last_colors
         i = len(colors) - 1
         while i >= 0 and colors[i] == bounds[i]:
             colors[i] = 1

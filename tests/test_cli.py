@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import colorcomp
-from colorcomp import cli
+from colorcomp import cli, codec
 from colorcomp.cli import main
-from colorcomp.closedform import AtLeastM, KINDS
+from colorcomp.closedform import AtLeastM, KINDS, Family
 
 
 def run(capsys, *argv):
@@ -177,6 +177,29 @@ def json_row(alpha, with_word, kind):
     return json.dumps(row)
 
 
+def row_fields(alpha, with_word, kind):
+    """The fields of a ``list colored`` plain or csv row: ``str(alpha)``, then the
+    word and the image, from ``to_binary`` and ``image_of_word``."""
+    fields = [str(alpha)]
+    word = colorcomp.to_binary(alpha)
+    if with_word or kind:
+        fields.append(word)
+    if kind:
+        fields.append(",".join(map(str, colorcomp.image_of_word(kind, word, alpha.d))))
+    return fields
+
+
+def colored_listings(nu, d, fmt):
+    """(argv, with_word, kind, k) of every ``list colored`` form at (nu, d) in ``fmt``."""
+    for with_word, kind, k in itertools.product(
+        (False, True), (None, *KINDS), (None, *range(1, nu + 1))
+    ):
+        argv = ["list", "colored", "--nu", str(nu), "--d", str(d), "--format", fmt]
+        argv += ["--with-word"] * with_word + ["--map-to", kind] * bool(kind)
+        argv += ["--k", str(k)] * bool(k)
+        yield argv, with_word, kind, k
+
+
 class TestList:
     def test_colored_trivial(self, capsys):
         code, out, _ = run(capsys, "list", "colored", "--nu", "1", "--d", "1")
@@ -229,6 +252,55 @@ class TestList:
             code, out, _ = run(capsys, *argv)
             want = [json_row(alpha, with_word, kind) for alpha in colorcomp.enum_colored(nu, d, k)]
             assert (code, out.splitlines()) == (0, want), argv
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_colored_plain_is_the_fields_joined(self, capsys, nu, d):
+        for argv, with_word, kind, k in colored_listings(nu, d, "plain"):
+            want = "".join(
+                " | ".join(row_fields(alpha, with_word, kind)) + "\n"
+                for alpha in colorcomp.enum_colored(nu, d, k)
+            )
+            assert run(capsys, *argv)[:2] == (0, want), argv
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    def test_colored_csv_is_csv_writer(self, capsys, nu, d):
+        for argv, with_word, kind, k in colored_listings(nu, d, "csv"):
+            want = io.StringIO()
+            csv.writer(want).writerows(
+                row_fields(alpha, with_word, kind) for alpha in colorcomp.enum_colored(nu, d, k)
+            )
+            assert run(capsys, *argv)[:2] == (0, want.getvalue()), argv
+
+    def test_colored_unranks_each_distinct_part_once(self, capsys, monkeypatch):
+        """At nu=9, d=3 the 43 371 rows carry C(12, 4) = 495 distinct (size, color) parts."""
+        unranks = [0]
+        unrank = codec._unrank
+
+        def counted(remainder, n, d):
+            unranks[0] += 1
+            return unrank(remainder, n, d)
+
+        monkeypatch.setattr(codec, "_unrank", counted)
+        code, out, _ = run(capsys, "list", "colored", "--nu", "9", "--d", "3", "--map-to", "ge")
+        assert (code, out.count("\n")) == (0, colorcomp.count_pd(9, 3))
+        assert unranks[0] == comb(9 + 3, 3 + 1) == 495
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_family_is_json_dumps_and_csv_writer(self, capsys, kind):
+        for m, n in itertools.product(range(2, 5), range(1, 11)):
+            rows = list(colorcomp.enum_family(Family(kind, m), n))
+            csv_text = io.StringIO()
+            csv.writer(csv_text).writerows([",".join(map(str, parts))] for parts in rows)
+            want = {
+                "plain": "".join(",".join(map(str, parts)) + "\n" for parts in rows),
+                "json": "".join(json.dumps({"parts": list(parts)}) + "\n" for parts in rows),
+                "csv": csv_text.getvalue(),
+            }
+            for fmt, text in want.items():
+                argv = ["list", "family", "--kind", kind, "--m", str(m), "--n", str(n)]
+                assert run(capsys, *argv, "--format", fmt)[:2] == (0, text), (argv, fmt)
 
     def test_family(self, capsys):
         code, out, _ = run(
@@ -423,6 +495,27 @@ def test_closed_pipe_exits_quietly_on_json_words():
         "word": "000000000111",
         "image": [4] * 9 + [7],
     }
+
+
+# The part of size 30 at d = 10 has C(39, 10) = 635 745 396 colors, all in the
+# first block: its first row comes out before any of them is held in memory.
+@pytest.mark.parametrize(
+    "form, with_word, kind",
+    [
+        (("--map-to", "ge", "--format", "json"), False, "ge"),
+        (("--with-word", "--format", "csv"), True, None),
+    ],
+    ids=["json-ge", "csv-word"],
+)
+def test_closed_pipe_exits_quietly_in_a_block_of_635_million_colors(form, with_word, kind):
+    line = read_first_line("list", "colored", "--nu", "30", "--d", "10", *form)
+    alpha = colorcomp.ColoredComposition(10, ((30, 1),))
+    want = io.StringIO()
+    if "json" in form:
+        want.write(json_row(alpha, with_word, kind) + "\n")
+    else:
+        csv.writer(want).writerow(row_fields(alpha, with_word, kind))
+    assert line == want.getvalue().encode()
 
 
 def run_process(*argv):

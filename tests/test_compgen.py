@@ -21,7 +21,7 @@ from colorcomp import (
     enum_weighted,
     num_colors,
 )
-from colorcomp.compgen import _size_tuples_desc
+from colorcomp.compgen import _blocks, _size_tuples_desc
 
 
 class TestColoredComposition:
@@ -94,6 +94,19 @@ class TestEnumColored:
                     for colors in product(*(range(1, num_colors(s, d) + 1) for s in sizes))
                 ]
                 assert list(enum_colored(nu, d)) == want, (nu, d)
+
+    def test_blocks_expand_to_the_rows(self):
+        """Each block runs its last part through all of its colors, as a range; its
+        rows, in order, are enum_colored's."""
+        for nu in range(1, 9):
+            for d in range(1, 4):
+                for k in (None, *range(1, nu + 1)):
+                    checked_d, blocks = _blocks(nu, d, k)
+                    rows = []
+                    for head, last, colors in blocks:
+                        assert colors == range(1, num_colors(last, d) + 1)
+                        rows += [ColoredComposition(d, (*head, (last, c))) for c in colors]
+                    assert (checked_d, rows) == (d, list(enum_colored(nu, d, k))), (nu, d, k)
 
     def test_first_row_holds_no_color_range(self):
         """A part of size 20 at d = 8 has 2 220 075 colors; the first row needs none of them."""
