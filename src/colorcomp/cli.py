@@ -91,14 +91,15 @@ def _cmd_count(args):
 
 def _colored_row_writer(fmt):
     """A function (text, word=None, image=None) writing one ``list colored`` row in ``fmt``
-    with one call; ``text`` is the composition (for json, the object up to "d")."""
+    with one call; ``text`` is the composition (for json, the object up to "d") and
+    ``image`` the image's parts, already joined by the format's separator."""
     write = sys.stdout.write
     if fmt == "json":
         # Every value is an int or a 0/1 string, and a list of ints prints
         # as json.dumps prints it, so this is json.dumps's text.
         def row(text, word=None, image=None):
             if image is not None:
-                write(f'{text}, "word": "{word}", "image": {list(image)}}}\n')
+                write(f'{text}, "word": "{word}", "image": [{image}]}}\n')
             elif word is not None:
                 write(f'{text}, "word": "{word}"}}\n')
             else:
@@ -109,7 +110,7 @@ def _colored_row_writer(fmt):
 
         def row(text, word=None, image=None):
             if image is not None:
-                writerow((text, word, ",".join(map(str, image))))
+                writerow((text, word, image))
             elif word is not None:
                 writerow((text, word))
             else:
@@ -119,7 +120,7 @@ def _colored_row_writer(fmt):
 
         def row(text, word=None, image=None):
             if image is not None:
-                write(f'{text} | {word} | {",".join(map(str, image))}\n')
+                write(f"{text} | {word} | {image}\n")
             elif word is not None:
                 write(f"{text} | {word}\n")
             else:
@@ -128,32 +129,71 @@ def _colored_row_writer(fmt):
     return row
 
 
+class _Table(dict):
+    """A dict that fills a missing key with ``make(*key)``, so it never holds
+    more entries than it has been asked for."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(*key)
+        return value
+
+
 def _write_colored(args):
     """Write the rows of ``list colored`` one block of ``compgen._blocks`` at a time.
 
-    The rows of a block share every part but the last, so the head's text
-    and its parts' words, each followed by its separating '1', are built
-    once per block; a row adds its last part, its word from the table of
-    part words and the image of that word.  A block's colors stay a range.
+    The rows of a block share every part but the last, so the head's text,
+    joined from a table of part texts, and its parts' words, each followed
+    by its separating '1' (the ``prefix``), are built once per block; a row
+    adds its last part and its word from the table of part words.  A
+    block's colors stay a range.
+
+    With ``--map-to`` the word is split at the family's cut letter, with
+    image(X + cut + Y) == image(X) + image(Y): the image of the prefix up
+    to its last cut letter is formatted once per block, and a row adds the
+    image of the rest of its word, from a table keyed by (rest of the
+    prefix, last size, last color).  No row calls ``codec.image_of_word``;
+    the identity is a property test in ``tests/test_closedform.py``, and
+    the rows of the benchmark's listing are held to ``image_of_word`` by
+    ``tests/test_cli.py``.
     """
-    kind = args.map_to
+    fmt, kind = args.format, args.map_to
     d, blocks = compgen._blocks(args.nu, args.d, args.k)
     words = codec._PartWords(d) if args.with_word or kind else None
-    row = _colored_row_writer(args.format)
+    row = _colored_row_writer(fmt)
+    if fmt == "json":
+        sep, texts = ", ", _Table(lambda s, c: f'{{"size": {s}, "color": {c}}}, ')
+    else:
+        sep, texts = ",", _Table(lambda s, c: f"{s}^{c},")
+    if kind:
+        rules, m = closedform.FAMILIES[kind], d + 1
+        cut, image = rules.cut, rules.image
+        tails = _Table(lambda rest, last, c: sep.join(map(str, image(rest + words[last, c], m))))
     for head, last, colors in blocks:
-        if args.format == "json":
-            parts = "".join([f'{{"size": {s}, "color": {c}}}, ' for s, c in head])
-            left, right = f'{{"parts": [{parts}{{"size": {last}, "color": ', f'}}], "d": {d}'
+        left = "".join([texts[part] for part in head])
+        if fmt == "json":
+            left, right = f'{{"parts": [{left}{{"size": {last}, "color": ', f'}}], "d": {d}'
         else:
-            left, right = "".join([f"{s}^{c}," for s, c in head]) + f"{last}^", ""
+            left, right = f"{left}{last}^", ""
         if words is None:
             for c in colors:
                 row(f"{left}{c}{right}")
             continue
         prefix = "".join([words[part] + "1" for part in head])
+        if not kind:
+            for c in colors:
+                row(f"{left}{c}{right}", prefix + words[last, c])
+            continue
+        # j is -1 where the prefix holds no cut letter (never for ''), and
+        # rest is then the whole prefix.
+        j = prefix.rfind(cut)
+        head_image = "".join([f"{p}{sep}" for p in image(prefix[:j], m)]) if j >= 0 else ""
+        rest = prefix[j + len(cut) :]
         for c in colors:
-            word = prefix + words[last, c]
-            row(f"{left}{c}{right}", word, codec.image_of_word(kind, word, d) if kind else None)
+            row(f"{left}{c}{right}", prefix + words[last, c], head_image + tails[rest, last, c])
 
 
 def _cmd_list(args):

@@ -3,7 +3,8 @@
 Covers the polytopic-color counts P_n(d) (per part count and total) and
 the three restricted families: parts in {1, m}, parts congruent to 1 mod
 m, and parts at least m, each one row of ``FAMILIES``, the one home of
-their part rules, closed forms, image totals and word-level bijections.
+their part rules, closed forms, image totals, word-level bijections and
+the letters at which their codewords can be cut.
 
 ``count_pd`` and ``count_family`` run exact linear recurrences read off
 the generating functions.  For the total, P = W/(1-W) with
@@ -48,7 +49,14 @@ class _Rules(NamedTuple):
     size: Callable[[int, int], int]  # (nu, m): the total of the image of a composition of nu
     image: Callable[[str, int], tuple]  # (codeword, m) -> parts
     word: Callable[[tuple, int], str]  # (parts, m) -> codeword, for parts that ``admits``
+    # The cut letter c: image(X + c + Y, m) == image(X, m) + image(Y, m) for any
+    # 0/1 strings X and Y, and word(P + Q, m) == word(P, m) + c + word(Q, m) for
+    # non-empty P and Q.  A listing splits its words there (``cli._write_colored``).
+    cut: str
 
+
+# The separators of the mod and ge codewords, each family's cut letter.
+_MOD_CUT, _GE_CUT = "1", "0"
 
 # The three families, in the order every listing and check uses.
 #   ones: every '1' of the codeword becomes a part 1, every '0' a part m.
@@ -62,14 +70,16 @@ FAMILIES = {
         size=lambda nu, m: m * nu - 1,
         image=lambda beta, m: tuple(map({"1": 1, "0": m}.__getitem__, beta)),
         word=lambda parts, m: "".join(map({1: "1", m: "0"}.__getitem__, parts)),
+        cut="",
     ),
     "mod": _Rules(
         admits=lambda part, m: part >= 1 and part % m == 1,
         count=lambda n, m: sum(comb(n - (m - 1) * j - 1, j) for j in range(n // m + 1)),
         shift=lambda m: 1,
         size=lambda nu, m: m * nu,
-        image=lambda beta, m: tuple([m * len(gap) + 1 for gap in beta.split("1")]),
-        word=lambda parts, m: "1".join(["0" * (part // m) for part in parts]),
+        image=lambda beta, m: tuple([m * len(gap) + 1 for gap in beta.split(_MOD_CUT)]),
+        word=lambda parts, m: _MOD_CUT.join(["0" * (part // m) for part in parts]),
+        cut=_MOD_CUT,
     ),
     "ge": _Rules(
         admits=lambda part, m: part >= m,
@@ -78,8 +88,9 @@ FAMILIES = {
         ),
         shift=lambda m: m,
         size=lambda nu, m: m * nu + m - 1,
-        image=lambda beta, m: tuple([len(gap) + m for gap in beta.split("0")]),
-        word=lambda parts, m: "0".join(["1" * (part - m) for part in parts]),
+        image=lambda beta, m: tuple([len(gap) + m for gap in beta.split(_GE_CUT)]),
+        word=lambda parts, m: _GE_CUT.join(["1" * (part - m) for part in parts]),
+        cut=_GE_CUT,
     ),
 }
 KINDS = tuple(FAMILIES)

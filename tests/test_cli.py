@@ -16,7 +16,7 @@ import pytest
 import colorcomp
 from colorcomp import cli, codec
 from colorcomp.cli import main
-from colorcomp.closedform import AtLeastM, KINDS, Family
+from colorcomp.closedform import FAMILIES, KINDS, AtLeastM, Family
 
 
 def run(capsys, *argv):
@@ -286,6 +286,34 @@ class TestList:
         code, out, _ = run(capsys, "list", "colored", "--nu", "9", "--d", "3", "--map-to", "ge")
         assert (code, out.count("\n")) == (0, colorcomp.count_pd(9, 3))
         assert unranks[0] == comb(9 + 3, 3 + 1) == 495
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_benchmark_listing_images_are_image_of_word(self, capsys, kind):
+        """Every row of the nu=9, d=3 listing against ``to_binary`` and ``image_of_word``,
+        with the split each row's word takes at its family's cut letter."""
+        d, cut = 3, FAMILIES[kind].cut
+        argv = ["list", "colored", "--nu", "9", "--d", str(d), "--map-to", kind]
+        code, out, _ = run(capsys, *argv, "--with-word", "--format", "json")
+        assert code == 0
+        branches = set()
+        for line in out.splitlines():
+            row = json.loads(line)
+            parts = [(p["size"], p["color"]) for p in row["parts"]]
+            word = row["word"]
+            assert word == codec.to_binary(colorcomp.ColoredComposition(d, parts)), line
+            assert row["image"] == list(codec.image_of_word(kind, word, d)), line
+            # The head's words and their separators: all but the last part's word.
+            prefix = word[: len(word) - (parts[-1][0] + d - 1)]
+            branches.add((prefix.rfind(cut) >= 0, len(parts) == 1))
+        assert out.count("\n") == colorcomp.count_pd(9, d)
+        # (the prefix holds a cut letter, one part): ones always cuts; mod's
+        # prefix ends in its cut '1' unless the head is empty; ge also has
+        # heads of parts of size 1, whose words hold no '0'.
+        assert branches == {
+            "ones": {(True, True), (True, False)},
+            "mod": {(False, True), (True, False)},
+            "ge": {(False, True), (False, False), (True, False)},
+        }[kind]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_family_is_json_dumps_and_csv_writer(self, capsys, kind):

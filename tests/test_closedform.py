@@ -23,6 +23,7 @@ from colorcomp import (
     partial_bell,
     weighted_count,
 )
+from colorcomp.closedform import FAMILIES, KINDS
 
 
 def fibonacci(n):
@@ -193,3 +194,31 @@ class TestFourWayIdentity:
         for d in range(1, 4):
             for nu in range(1, 7):
                 assert count_pd(nu, d) == sum(1 for _ in enum_colored(nu, d))
+
+
+# Each family's cut letter splits a codeword into two whose images are
+# concatenated, and joins the words of two images; ``list colored --map-to``
+# builds its images on this instead of calling image_of_word per row.
+class TestCutLetter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(2, 8),
+        st.text(alphabet="01", max_size=30),
+        st.text(alphabet="01", max_size=30),
+    )
+    def test_image_of_a_cut_word_is_the_images_joined(self, kind, m, x, y):
+        rules = FAMILIES[kind]
+        assert rules.image(x + rules.cut + y, m) == rules.image(x, m) + rules.image(y, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(2, 8), st.data())
+    def test_word_of_joined_images_is_the_words_cut(self, kind, m, data):
+        rules = FAMILIES[kind]
+        admitted = st.sampled_from([part for part in range(1, 6 * m + 1) if rules.admits(part, m)])
+        p = tuple(data.draw(st.lists(admitted, min_size=1, max_size=8), label="p"))
+        q = tuple(data.draw(st.lists(admitted, min_size=1, max_size=8), label="q"))
+        assert rules.word(p + q, m) == rules.word(p, m) + rules.cut + rules.word(q, m)
+
+    def test_the_cut_letters(self):
+        assert {kind: FAMILIES[kind].cut for kind in KINDS} == {"ones": "", "mod": "1", "ge": "0"}
