@@ -1,11 +1,11 @@
 """Command-line front end: counting, enumeration, rank/unrank, family
 maps, and the self-verification suite.
 
-Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
-All counts are printed in full decimal.  Listings write each row with one
-``write`` (or csv ``writerow``) call; ``list colored`` writes one block of
-rows that differ only in the last color at a time, so what depends on the
-other parts is formatted and encoded once per block.
+Exit codes: 0 success, 1 domain error, failed check or interrupt, 2 usage
+error.  All counts are printed in full decimal.  Listings write each row
+with one ``write`` (or csv ``writerow``) call; ``list colored`` writes one
+block of rows that differ only in the last color at a time, so what
+depends on the other parts is formatted and encoded once per block.
 """
 
 from __future__ import annotations
@@ -335,6 +335,9 @@ def main(argv=None):
         return 1
     except OverflowError as exc:
         print(f"error: value too large for this machine ({exc})", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed the pipe (``colorcomp list ... | head``): stop

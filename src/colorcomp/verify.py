@@ -6,13 +6,14 @@ independent ways over a parameter grid, and disagreements are collected
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
 from .closedform import FAMILIES, KINDS, Family
-from .errors import checked
+from .errors import ColorCompError, checked
 
 __all__ = [
     "CheckResult",
@@ -223,10 +224,16 @@ def check_bijections(nu_max, d_max):
     map sends the rows of (nu, d) onto its family, by a counting argument
     that holds no image.  Every enumeration of the suite happens here.
 
+    Each grid point is a cell of its own (``_bijection_cell``), so the
+    cells run on every CPU this process may use, largest first, and their
+    results are summed in grid order: the checks are the same however
+    many run at once.  A check's time is the sum of its cells' times, the
+    work it took, not the wall time it took.
+
     Each grid point is enumerated once, part count by part count, with
-    the words of ``enum_words``, the listing's encoder; each row's word must
-    also equal ``to_binary`` of the row, so the two encoders check each
-    other.  The part count's words are kept in one list, and the three
+    the words of ``enum_words``, the public row encoder; each row's word
+    must also equal ``to_binary`` of the row, so the two encoders check
+    each other.  The part count's words are kept in one list, and the three
     family images come from them; the clock laps once per part count
     for the codec check and once for the image check.  A family inverse is
     ``from_binary`` after ``word_of_image``, so checking
@@ -247,60 +254,121 @@ def check_bijections(nu_max, d_max):
     nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
     phi = check_phi(nu_max + d_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
-    enum_eq = CheckResult("closed forms vs enumeration size", grid, 0)
-    codec_check = CheckResult("binary codec round trip and image", grid, 0)
-    images = CheckResult("family map images equal enumerations", grid, 0)
-    clock = _Clock()
-    for d in range(1, d_max + 1):
-        for nu in range(1, nu_max + 1):
-            enum_eq.cells += 1
-            images.cells += 1
-            families = [
-                (f, n, frozenset(s for s in range(1, n + 1) if f.admits(s)))
-                for f, n in _families(nu, d)
-            ]
-            images_ok, rows = True, 0
-            for k in range(1, nu + 1):
-                codec_check.cells += 1
-                length, ones = nu + d * k - 1, (d + 1) * k - 1
-                words, ok = [], True
-                for alpha, beta in codec.enum_words(nu, d, k):
-                    decoded = codec.from_binary(beta, d) == alpha
-                    if (
-                        not decoded
-                        or codec.to_binary(alpha) != beta
-                        or len(beta) != length
-                        or beta.count("1") != ones
-                    ):
-                        ok = False
-                    images_ok = images_ok and decoded
-                    words.append(beta)
-                distinct = len(set(words))
-                if not ok or distinct != closedform.count_pd_k(nu, d, k):
-                    codec_check.record((nu, d, k))
-                clock.lap(codec_check)
-                images_ok = images_ok and distinct == len(words)
-                rows += len(words)
-                for f, n, parts in families:
-                    for beta in words:
-                        image = codec.image_of_word(f.kind, beta, d)
-                        if not (
-                            sum(image) == n
-                            and parts.issuperset(image)
-                            and codec.word_of_image(f.kind, image, d) == beta
-                        ):
-                            images_ok = False
-                clock.lap(images)
-            counts = [_ascending_count(compgen.enum_family(f, n)) for f, n, _ in families]
-            if rows != closedform.count_pd(nu, d) or counts != [
-                closedform.count_family(f, n) for f, n, _ in families
-            ]:
-                enum_eq.record((nu, d))
-            clock.lap(enum_eq)
-            if not images_ok or any(count != rows for count in counts):
-                images.record((nu, d))
-            clock.lap(images)
+    cells = [(nu, d) for d in range(1, d_max + 1) for nu in range(1, nu_max + 1)]
+    results = _map_cells(cells)
+    enum_eq, codec_check, images = totals = [CheckResult(r.name, grid, 0) for r in results[0]]
+    for cell in results:
+        for total, part in zip(totals, cell):
+            total.cells += part.cells
+            total.failures += part.failures
+            total.elapsed += part.elapsed
+            if total.counterexample is None:
+                total.counterexample = part.counterexample
     return CheckReport([enum_eq, *phi.checks, codec_check, images])
+
+
+def _workers(cells):
+    """How many processes run ``cells``: the CPUs this process may use, at
+    most one per cell; 1 where the platform cannot tell those CPUs or
+    cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(cells))
+
+
+def _map_cells(cells):
+    """``_bijection_cell(nu, d)`` for each (nu, d) of ``cells``, in that order.
+
+    With more than one worker the cells run in forked processes, which
+    inherit this process's modules as they are, and are sent in reversed
+    order, since the grid ends with its largest cells.  Otherwise they run
+    here, and no pool module is imported.
+    """
+    workers = _workers(cells)
+    if workers == 1:
+        return [_bijection_cell(nu, d) for nu, d in cells]
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    nus, ds = zip(*reversed(cells))
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,  # workers ignore Ctrl-C; this process stops them
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        results = list(pool.map(_bijection_cell, nus, ds))
+    except BrokenProcessPool:
+        raise ColorCompError(
+            "a verify worker process died before returning its cell (killed, or out of memory)"
+        ) from None
+    except BaseException:
+        # Otherwise shutting down would wait for the cells still running,
+        # and the largest of them may take most of the run.  Before Python
+        # 3.14 the executor has no public way to stop its workers.
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results[::-1]
+
+
+def _bijection_cell(nu, d):
+    """The enumeration-size, codec and image results of ``check_bijections``
+    at grid point (nu, d) alone."""
+    enum_eq = CheckResult("closed forms vs enumeration size", "", 1)
+    codec_check = CheckResult("binary codec round trip and image", "", 0)
+    images = CheckResult("family map images equal enumerations", "", 1)
+    clock = _Clock()
+    families = [
+        (f, n, frozenset(s for s in range(1, n + 1) if f.admits(s))) for f, n in _families(nu, d)
+    ]
+    images_ok, rows = True, 0
+    for k in range(1, nu + 1):
+        codec_check.cells += 1
+        length, ones = nu + d * k - 1, (d + 1) * k - 1
+        words, ok = [], True
+        for alpha, beta in codec.enum_words(nu, d, k):
+            decoded = codec.from_binary(beta, d) == alpha
+            if (
+                not decoded
+                or codec.to_binary(alpha) != beta
+                or len(beta) != length
+                or beta.count("1") != ones
+            ):
+                ok = False
+            images_ok = images_ok and decoded
+            words.append(beta)
+        distinct = len(set(words))
+        if not ok or distinct != closedform.count_pd_k(nu, d, k):
+            codec_check.record((nu, d, k))
+        clock.lap(codec_check)
+        images_ok = images_ok and distinct == len(words)
+        rows += len(words)
+        for f, n, parts in families:
+            for beta in words:
+                image = codec.image_of_word(f.kind, beta, d)
+                if not (
+                    sum(image) == n
+                    and parts.issuperset(image)
+                    and codec.word_of_image(f.kind, image, d) == beta
+                ):
+                    images_ok = False
+        clock.lap(images)
+    counts = [_ascending_count(compgen.enum_family(f, n)) for f, n, _ in families]
+    if rows != closedform.count_pd(nu, d) or counts != [
+        closedform.count_family(f, n) for f, n, _ in families
+    ]:
+        enum_eq.record((nu, d))
+    clock.lap(enum_eq)
+    if not images_ok or any(count != rows for count in counts):
+        images.record((nu, d))
+    clock.lap(images)
+    return enum_eq, codec_check, images
 
 
 # Golden correspondence for nu = 3, d = 2, transcribed row by row:

@@ -480,6 +480,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "count", "family", "--kind", "ones", "--m", "3", "--n", "9")
         assert (code, out, err) == (1, "", "error: out of memory\n")
 
+    def test_interrupt_is_one(self, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.closedform, "count_family", interrupted)
+        code, out, err = run(capsys, "count", "family", "--kind", "ones", "--m", "3", "--n", "9")
+        assert (code, out, err) == (1, "", "error: interrupted\n")
+
     @pytest.mark.parametrize(
         "form", [(), ("--k", "2"), ("--by-parts",)], ids=["total", "k", "by-parts"]
     )

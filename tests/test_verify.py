@@ -2,8 +2,14 @@
 
 import gc
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +24,7 @@ from colorcomp import (
     compgen,
     count_pd,
     golden_tables,
+    verify,
 )
 from colorcomp.errors import DomainError
 from colorcomp.verify import CheckReport, CheckResult
@@ -54,6 +61,32 @@ def wrong_stream(monkeypatch, mutate):
     monkeypatch.setattr(
         compgen, "enum_family", lambda family, n: iter(mutate(list(enum(family, n))))
     )
+
+
+def wrong_to_binary(monkeypatch):
+    """Make codec.to_binary give 3^2 at d = 2 the word of 3^1."""
+    encode = codec.to_binary
+
+    def wrong(alpha):
+        return "0011" if (alpha.d, str(alpha)) == (2, "3^2") else encode(alpha)
+
+    monkeypatch.setattr(codec, "to_binary", wrong)
+
+
+def short_colored_stream(monkeypatch):
+    """Make compgen.enum_colored drop the last row of (3, 2), for every part count."""
+    enum = compgen.enum_colored
+
+    def short(nu, d, k=None):
+        rows = list(enum(nu, d, k))
+        return iter(rows[:-1] if (nu, d) == (3, 2) else rows)
+
+    monkeypatch.setattr(compgen, "enum_colored", short)
+
+
+def one_worker(monkeypatch):
+    """Run check_bijections' cells in this process, where counters and traces see them."""
+    monkeypatch.setattr(verify, "_workers", lambda cells: 1)
 
 
 class TestCheckCounts:
@@ -123,6 +156,7 @@ class TestCheckBijections:
         assert check_bijections(7, 3).ok
 
     def test_encodes_each_row_once(self, monkeypatch):
+        one_worker(monkeypatch)
         calls = count_encodes(monkeypatch)
         assert check_bijections(5, 3).ok
         rows = sum(count_pd(nu, d) for nu in range(1, 6) for d in range(1, 4))
@@ -173,13 +207,7 @@ class TestCheckBijections:
     # A colored stream one row short at (3, 2), for every part count, fails
     # each per-k codec cell there, the row total and the image count.
     def test_short_colored_stream_fails_every_check_that_counts_rows(self, monkeypatch):
-        enum = compgen.enum_colored
-
-        def short(nu, d, k=None):
-            rows = list(enum(nu, d, k))
-            return iter(rows[:-1] if (nu, d) == (3, 2) else rows)
-
-        monkeypatch.setattr(compgen, "enum_colored", short)
+        short_colored_stream(monkeypatch)
         enum_eq, _, _, codec_check, images = check_bijections(5, 2).checks
         assert (enum_eq.failures, enum_eq.counterexample) == (1, (3, 2))
         assert (codec_check.failures, codec_check.counterexample) == (3, (3, 2, 1))
@@ -211,7 +239,7 @@ class TestCheckBijections:
         assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
-    # verify takes each row's word from enum_words, the listing's encoder,
+    # verify takes each row's word from enum_words, the public row encoder,
     # and checks it against to_binary as well as by decoding it.
     def test_codec_check_catches_swapped_words(self, monkeypatch):
         enum = codec.enum_words
@@ -230,12 +258,7 @@ class TestCheckBijections:
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
     def test_codec_check_catches_a_wrong_to_binary(self, monkeypatch):
-        encode = codec.to_binary
-
-        def wrong(alpha):
-            return "0011" if (alpha.d, str(alpha)) == (2, "3^2") else encode(alpha)
-
-        monkeypatch.setattr(codec, "to_binary", wrong)
+        wrong_to_binary(monkeypatch)
         codec_check, images = check_bijections(5, 2).checks[-2:]
         assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
         assert images.passed
@@ -253,7 +276,8 @@ class TestCheckBijections:
     # here; holding one part count's words peaks at 1.40 MB.  A full
     # collection first empties the interpreter's free lists: objects reused
     # from them were allocated before tracing began and would not count.
-    def test_holds_no_image_set(self):
+    def test_holds_no_image_set(self, monkeypatch):
+        one_worker(monkeypatch)
         gc.collect()
         tracemalloc.start()
         try:
@@ -267,6 +291,36 @@ class TestCheckBijections:
         report = check_phi(10, 4)
         assert report.ok
         assert all(c.cells > 0 for c in report.checks)
+
+    # The cells' results are summed in grid order, so the checks are the
+    # same however many workers run the cells, and forked workers inherit
+    # a mutation made before the pool starts.  A family stream one row
+    # short fails ten cells, so it tells the first counterexample from the
+    # last.
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            None,
+            wrong_to_binary,
+            short_colored_stream,
+            lambda monkeypatch: wrong_stream(monkeypatch, WRONG_STREAMS["last-row-dropped"][0]),
+        ],
+        ids=["clean", "wrong-to-binary", "short-colored-stream", "short-family-stream"],
+    )
+    def test_checks_do_not_depend_on_the_workers(self, monkeypatch, mutate):
+        if mutate:
+            mutate(monkeypatch)
+
+        def checks(workers):
+            monkeypatch.setattr(verify, "_workers", lambda cells: workers)
+            return [
+                (c.name, c.grid, c.cells, c.failures, c.counterexample)
+                for c in check_bijections(6, 3).checks
+            ]
+
+        alone = checks(1)
+        assert all(failures == 0 for *_, failures, _ in alone) == (mutate is None)
+        assert checks(2) == alone
 
 
 @pytest.mark.parametrize(
@@ -374,7 +428,91 @@ def test_verify_walks_each_stream_once(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(compgen, name, counting(name, getattr(compgen, name)))
+    one_worker(monkeypatch)
     assert check_counts(4, 2).ok
     assert calls == {"enum_colored": 0, "enum_family": 0}
     assert cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 0
     assert calls == {"enum_colored": 21, "enum_family": 24}
+
+
+_bijection_cell = verify._bijection_cell
+
+
+def dies_at_one_cell(nu, d):
+    """``verify._bijection_cell``, except that the process ends at (2, 2)."""
+    if (nu, d) == (2, 2):
+        os._exit(1)
+    return _bijection_cell(nu, d)
+
+
+def test_a_dead_worker_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_workers", lambda cells: 2)
+    monkeypatch.setattr(verify, "_bijection_cell", dies_at_one_cell)
+    assert cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a verify worker process died")
+    assert captured.err.count("\n") == 1
+
+
+def colorcomp_process(*args, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs
+    )
+
+
+# Ctrl-C interrupts the whole process group.  The workers ignore it, and the
+# parent stops them rather than wait for the cells they hold: the largest
+# cell of this grid, (9, 5), takes several seconds on its own.
+def test_an_interrupted_verify_is_one_error_line():
+    proc = colorcomp_process(
+        "-m", "colorcomp.cli", "verify", "--nu-max", "9", "--d-max", "5", start_new_session=True
+    )
+    time.sleep(0.5)
+    os.killpg(proc.pid, signal.SIGINT)
+    start = time.perf_counter()
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (1, b"", b"error: interrupted\n")
+    assert time.perf_counter() - start < 2
+
+
+# A worker with no cell left waits for the next one; an interrupt there
+# would print the worker's traceback unless the worker ignores it.
+def test_an_interrupt_leaves_idle_workers_quiet():
+    script = """if True:
+        import sys, time
+        from colorcomp import cli, verify
+        cell = verify._bijection_cell
+
+        def slow_last_cell(nu, d):
+            if (nu, d) == (4, 2):
+                time.sleep(30)
+            return cell(nu, d)
+
+        verify._workers = lambda cells: 2
+        verify._bijection_cell = slow_last_cell
+        sys.exit(cli.main(["verify", "--nu-max", "4", "--d-max", "2"]))
+    """
+    proc = colorcomp_process("-c", script, start_new_session=True)
+    time.sleep(0.5)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (1, b"", b"error: interrupted\n")
+
+
+# Importing the pool costs time on every command, so only a pool imports it.
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_pool_modules_load_only_for_a_pool():
+    script = """if True:
+        import os, sys
+        import colorcomp, colorcomp.cli
+        pool = ("concurrent.futures", "multiprocessing")
+        assert not any(name in sys.modules for name in pool)
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        assert colorcomp.cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 0
+        assert not any(name in sys.modules for name in pool)
+    """
+    proc = colorcomp_process("-c", script)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err.decode()
