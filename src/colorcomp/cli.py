@@ -89,10 +89,14 @@ def _cmd_count(args):
     return 0
 
 
-def _colored_row_writer(fmt):
-    """A function (text, word=None, image=None) writing one ``list colored`` row in ``fmt``
-    with one call; ``text`` is the composition (for json, the object up to "d") and
-    ``image`` the image's parts, already joined by the format's separator."""
+def _row_writer(fmt):
+    """A function writing one ``list colored`` row in ``fmt`` with one call.
+
+    Its arguments are the row's fields: the composition, then its word and
+    its image's parts, already joined by the format's separator, where the
+    row has them.  Plain rows join the fields with " | " and csv rows are
+    ``csv.writer``'s; for json, the composition is the object up to "d".
+    """
     write = sys.stdout.write
     if fmt == "json":
         # Every value is an int or a 0/1 string, and a list of ints prints
@@ -105,41 +109,11 @@ def _colored_row_writer(fmt):
             else:
                 write(text + "}\n")
 
-    elif fmt == "csv":
+        return row
+    if fmt == "csv":
         writerow = csv.writer(sys.stdout).writerow
-
-        def row(text, word=None, image=None):
-            if image is not None:
-                writerow((text, word, image))
-            elif word is not None:
-                writerow((text, word))
-            else:
-                writerow((text,))
-
-    else:
-
-        def row(text, word=None, image=None):
-            if image is not None:
-                write(f"{text} | {word} | {image}\n")
-            elif word is not None:
-                write(f"{text} | {word}\n")
-            else:
-                write(text + "\n")
-
-    return row
-
-
-class _Table(dict):
-    """A dict that fills a missing key with ``make(*key)``, so it never holds
-    more entries than it has been asked for."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(*key)
-        return value
+        return lambda *fields: writerow(fields)
+    return lambda *fields: write(" | ".join(fields) + "\n")
 
 
 def _write_colored(args):
@@ -162,16 +136,18 @@ def _write_colored(args):
     """
     fmt, kind = args.format, args.map_to
     d, blocks = compgen._blocks(args.nu, args.d, args.k)
-    words = codec._PartWords(d) if args.with_word or kind else None
-    row = _colored_row_writer(fmt)
+    words = codec._part_words(d) if args.with_word or kind else None
+    row = _row_writer(fmt)
     if fmt == "json":
-        sep, texts = ", ", _Table(lambda s, c: f'{{"size": {s}, "color": {c}}}, ')
+        sep, texts = ", ", codec._Table(lambda s, c: f'{{"size": {s}, "color": {c}}}, ')
     else:
-        sep, texts = ",", _Table(lambda s, c: f"{s}^{c},")
+        sep, texts = ",", codec._Table(lambda s, c: f"{s}^{c},")
     if kind:
         rules, m = closedform.FAMILIES[kind], d + 1
         cut, image = rules.cut, rules.image
-        tails = _Table(lambda rest, last, c: sep.join(map(str, image(rest + words[last, c], m))))
+        tails = codec._Table(
+            lambda rest, last, c: sep.join(map(str, image(rest + words[last, c], m)))
+        )
     for head, last, colors in blocks:
         left = "".join([texts[part] for part in head])
         if fmt == "json":

@@ -68,7 +68,8 @@ FAMILIES = {
         count=lambda n, m: sum(comb(n - (m - 1) * j, j) for j in range(n // m + 1)),
         shift=lambda m: 0,
         size=lambda nu, m: m * nu - 1,
-        image=lambda beta, m: tuple(map({"1": 1, "0": m}.__getitem__, beta)),
+        # Through a list, so the tuple is built at its size and never resized.
+        image=lambda beta, m: tuple(list(map({"1": 1, "0": m}.__getitem__, beta))),
         word=lambda parts, m: "".join(map({1: "1", m: "0"}.__getitem__, parts)),
         cut="",
     ),

@@ -162,18 +162,26 @@ def to_binary(alpha):
     return "1".join([_unrank(c - 1, s + d - 1, d) for s, c in parts])
 
 
-class _PartWords(dict):
-    """The word of each part (size, color) at one d, unranked on first lookup."""
+class _Table(dict):
+    """A dict that fills a missing key with ``make(*key)``, so it never holds
+    more entries than it has been asked for."""
 
-    def __init__(self, d):
+    def __init__(self, make):
         super().__init__()
-        self.d = d
+        self.make = make
 
-    def __missing__(self, part):
-        size, color = part
-        d = index(self.d)  # checked by compgen._blocks before the first row
-        word = self[part] = _unrank(color - 1, size + d - 1, d)
-        return word
+    def __missing__(self, key):
+        value = self[key] = self.make(*key)
+        return value
+
+
+def _part_words(d):
+    """A ``_Table`` of the word of each part (size, color) at one d.
+
+    ``d`` is read at the first lookup: a stream checks it before its
+    first row, so a bad d raises the stream's own error.
+    """
+    return _Table(lambda size, color: _unrank(color - 1, size + index(d) - 1, index(d)))
 
 
 def enum_words(nu, d, k=None):
@@ -184,7 +192,7 @@ def enum_words(nu, d, k=None):
     stored words.  Each stored (size, color) begins a row of its own, so
     the table never holds more words than the stream has rows.
     """
-    words = _PartWords(d)
+    words = _part_words(d)
     for alpha in compgen.enum_colored(nu, d, k):
         yield alpha, "1".join([words[part] for part in alpha.parts])
 

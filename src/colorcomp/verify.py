@@ -50,18 +50,21 @@ class CheckResult:
 
 @dataclass
 class CheckReport:
+    """The results of one or more checks.  ``elapsed`` is the wall time the
+    checks took; each check's own ``elapsed`` is the work it took, and on
+    several CPUs the checks' times add up to more than the wall time."""
+
     checks: list = field(default_factory=list)
+    elapsed: float = 0.0
 
     @property
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    @property
-    def elapsed(self):
-        return sum(c.elapsed for c in self.checks)
-
     def merge(self, other):
+        """Append ``other``'s checks; they ran after this report's, so their times add up."""
         self.checks.extend(other.checks)
+        self.elapsed += other.elapsed
         return self
 
     def to_text(self):
@@ -123,12 +126,16 @@ class _Clock:
     """Charges the wall time since its previous lap to one check."""
 
     def __init__(self):
-        self.last = time.perf_counter()
+        self.start = self.last = time.perf_counter()
 
     def lap(self, check):
         now = time.perf_counter()
         check.elapsed += now - self.last
         self.last = now
+
+    def report(self, checks):
+        """A report of ``checks`` whose time is the wall time since this clock started."""
+        return CheckReport(checks, time.perf_counter() - self.start)
 
 
 def _families(nu, d):
@@ -187,7 +194,7 @@ def check_counts(nu_max, d_max):
                 if any(factorial(k) * table[(nu, k)] != factorial(nu) * c for c in counts):
                     prop_bell.record((nu, d, k))
             clock.lap(prop_bell)
-    return CheckReport([fourway, prop_bell])
+    return clock.report([fourway, prop_bell])
 
 
 def check_phi(n_max, d_max):
@@ -212,7 +219,7 @@ def check_phi(n_max, d_max):
             if any(a >= b for a, b in zip(values, values[1:])):
                 ordered.record((n, d))
             clock.lap(ordered)
-    return CheckReport([bijective, ordered])
+    return clock.report([bijective, ordered])
 
 
 def check_bijections(nu_max, d_max):
@@ -228,7 +235,7 @@ def check_bijections(nu_max, d_max):
     cells run on every CPU this process may use, largest first, and their
     results are summed in grid order: the checks are the same however
     many run at once.  A check's time is the sum of its cells' times, the
-    work it took, not the wall time it took.
+    work it took; the report's time is the wall time of the whole suite.
 
     Each grid point is enumerated once, part count by part count, with
     the words of ``enum_words``, the public row encoder; each row's word
@@ -252,6 +259,7 @@ def check_bijections(nu_max, d_max):
     stream counts to ``count_family``.
     """
     nu_max, d_max = checked(nu_max, "nu_max"), checked(d_max, "d_max")
+    clock = _Clock()
     phi = check_phi(nu_max + d_max, d_max)
     grid = f"nu<={nu_max}, d<={d_max}"
     cells = [(nu, d) for d in range(1, d_max + 1) for nu in range(1, nu_max + 1)]
@@ -264,7 +272,7 @@ def check_bijections(nu_max, d_max):
             total.elapsed += part.elapsed
             if total.counterexample is None:
                 total.counterexample = part.counterexample
-    return CheckReport([enum_eq, *phi.checks, codec_check, images])
+    return clock.report([enum_eq, *phi.checks, codec_check, images])
 
 
 def _workers(cells):
@@ -409,4 +417,4 @@ def golden_tables():
         if got != want:
             result.record((i + 1, want, got))
     clock.lap(result)
-    return CheckReport([result])
+    return clock.report([result])

@@ -243,12 +243,7 @@ class TestList:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
     def test_colored_json_is_json_dumps(self, capsys, nu, d):
-        for with_word, kind, k in itertools.product(
-            (False, True), (None, *KINDS), (None, *range(1, nu + 1))
-        ):
-            argv = ["list", "colored", "--nu", str(nu), "--d", str(d), "--format", "json"]
-            argv += ["--with-word"] * with_word + ["--map-to", kind] * bool(kind)
-            argv += ["--k", str(k)] * bool(k)
+        for argv, with_word, kind, k in colored_listings(nu, d, "json"):
             code, out, _ = run(capsys, *argv)
             want = [json_row(alpha, with_word, kind) for alpha in colorcomp.enum_colored(nu, d, k)]
             assert (code, out.splitlines()) == (0, want), argv

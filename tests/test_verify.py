@@ -372,7 +372,10 @@ class TestReport:
         assert data["ok"] is False
         assert data["checks"][1]["counterexample"] == [1]
 
-    def test_per_check_timing(self):
+    # A check's time is the work it took; on one worker that work runs in
+    # the report's own wall time, so the checks' times fit inside it.
+    def test_per_check_timing(self, monkeypatch):
+        one_worker(monkeypatch)
         report = check_counts(3, 2).merge(check_bijections(3, 2))
         assert all(c.elapsed > 0 and c.cells_per_s > 0 for c in report.checks)
         assert sum(c.elapsed for c in report.checks) <= report.elapsed
@@ -385,6 +388,26 @@ class TestReport:
         assert set(data["checks"][0]) == {
             "name", "grid", "cells", "passed", "failures", "counterexample",
         }
+
+    # With the cells on two workers, their times overlap: the report's time
+    # is the wall time, less than the work its checks add up to.  Each
+    # enum_words call sleeps inside the codec check's lap, in a worker.
+    def test_total_is_wall_time_not_work(self, monkeypatch):
+        enum_words = codec.enum_words
+
+        def slow(*args):
+            time.sleep(0.25)
+            return enum_words(*args)
+
+        monkeypatch.setattr(codec, "enum_words", slow)
+        monkeypatch.setattr(verify, "_workers", lambda cells: 2)
+        report = check_bijections(2, 1)
+        assert report.ok
+        assert sum(c.elapsed for c in report.checks) >= 3 * 0.25
+        assert report.elapsed < sum(c.elapsed for c in report.checks)
+        golden = golden_tables()
+        wall = report.elapsed + golden.elapsed
+        assert report.merge(golden).elapsed == wall
 
     def test_zero_time_has_zero_rate(self):
         assert CheckResult("demo", "n<=1", cells=3).cells_per_s == 0.0
