@@ -2,10 +2,11 @@
 maps, and the self-verification suite.
 
 Exit codes: 0 success, 1 domain error, failed check or interrupt, 2 usage
-error.  All counts are printed in full decimal.  Listings write each row
-with one ``write`` (or csv ``writerow``) call; ``list colored`` writes one
-block of rows that differ only in the last color at a time, so what
-depends on the other parts is formatted and encoded once per block.
+error.  All counts are printed in full decimal.  Listings hand their rows
+to stdout in batches of ``_BATCH_ROWS`` or more per ``write``; ``list
+colored`` makes one block of rows that differ only in the last color at
+a time, and recomputes what the other parts give a row only from the
+leftmost part that moved since the previous block.
 """
 
 from __future__ import annotations
@@ -89,87 +90,150 @@ def _cmd_count(args):
     return 0
 
 
-def _row_writer(fmt):
-    """A function writing one ``list colored`` row in ``fmt`` with one call.
+# The rows a listing hands to one ``sys.stdout.write``, at least: enough that
+# the call costs little per row, few enough that the first rows go out at once.
+_BATCH_ROWS = 64
 
-    Its arguments are the row's fields: the composition, then its word and
-    its image's parts, already joined by the format's separator, where the
-    row has them.  Plain rows join the fields with " | " and csv rows are
-    ``csv.writer``'s; for json, the composition is the object up to "d".
+
+class _Batch(list):
+    """The texts of rows on their way to stdout, written together by ``flush``.
+
+    A listing appends its rows (a ``csv.writer`` writes into the batch
+    through ``write``) and flushes once ``_BATCH_ROWS`` or more wait.
+    Leaving the ``with`` block flushes what is left, on a return and on
+    every exception but a closed pipe, so no row made before an error or
+    an interrupt is lost.
     """
-    write = sys.stdout.write
-    if fmt == "json":
-        # Every value is an int or a 0/1 string, and a list of ints prints
-        # as json.dumps prints it, so this is json.dumps's text.
-        def row(text, word=None, image=None):
-            if image is not None:
-                write(f'{text}, "word": "{word}", "image": [{image}]}}\n')
-            elif word is not None:
-                write(f'{text}, "word": "{word}"}}\n')
-            else:
-                write(text + "}\n")
 
-        return row
-    if fmt == "csv":
-        writerow = csv.writer(sys.stdout).writerow
-        return lambda *fields: writerow(fields)
-    return lambda *fields: write(" | ".join(fields) + "\n")
+    def __init__(self):
+        super().__init__()
+        self.write = self.append
+
+    def flush(self):
+        sys.stdout.write("".join(self))
+        self.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if not isinstance(exc, BrokenPipeError):
+            self.flush()
 
 
 def _write_colored(args):
     """Write the rows of ``list colored`` one block of ``compgen._blocks`` at a time.
 
-    The rows of a block share every part but the last, so the head's text,
-    joined from a table of part texts, and its parts' words, each followed
-    by its separating '1' (the ``prefix``), are built once per block; a row
-    adds its last part and its word from the table of part words.  A
-    block's colors stay a range.
+    The rows of a block share every part but the last, its head.  What the
+    head gives a row is kept on a stack, one entry per head part: the
+    head's text so far; its words so far, each followed by its separating
+    '1' (the ``prefix``); with ``--map-to`` the formatted image of the
+    prefix up to its last cut letter, and the ``rest`` of the prefix after
+    that letter.  A block drops the entries from the leftmost head part
+    that moved since the previous block and pushes them anew, each one
+    step from the entry below it.  A row adds its last part, that part's
+    word from the table of part words, and the image of the rest and that
+    word.
 
-    With ``--map-to`` the word is split at the family's cut letter, with
-    image(X + cut + Y) == image(X) + image(Y): the image of the prefix up
-    to its last cut letter is formatted once per block, and a row adds the
-    image of the rest of its word, from a table keyed by (rest of the
-    prefix, last size, last color).  No row calls ``codec.image_of_word``;
-    the identity is a property test in ``tests/test_closedform.py``, and
-    the rows of the benchmark's listing are held to ``image_of_word`` by
+    The cut letter of a family has image(X + cut + Y) == image(X) +
+    image(Y), so a part appended to a head changes its image and rest only
+    as ``(rest, part)`` says.  That step is a table, and so is the image of
+    (rest, last size, last color) that ends a row: no block or row calls
+    the family's ``image`` on its head, or ``codec.image_of_word``.  The
+    identity is a property test in ``tests/test_closedform.py``, and the
+    rows of the benchmark's listing are held to ``image_of_word`` by
     ``tests/test_cli.py``.
+
+    A json or plain row is one text: the head's and last part's text up to
+    the color, the color, the prefix, the last part's word, the head's
+    image, the rest of the image and an end.  The stack's first entry
+    holds the separators that open the word and the image, so a field the
+    row lacks is empty, separators and all.  A csv row is its fields
+    through ``csv.writer``.  Rows go out through a ``_Batch``.  A block's
+    colors stay a range, cut into slices of ``_BATCH_ROWS`` where longer,
+    so its first rows go out before the last are made.
     """
     fmt, kind = args.format, args.map_to
     d, blocks = compgen._blocks(args.nu, args.d, args.k)
-    words = codec._part_words(d) if args.with_word or kind else None
-    row = _row_writer(fmt)
+    fields = 1 + bool(args.with_word or kind) + bool(kind)  # text, word, image
+    words = codec._part_words(d)
     if fmt == "json":
-        sep, texts = ", ", codec._Table(lambda s, c: f'{{"size": {s}, "color": {c}}}, ')
+        # Every value is an int or a 0/1 string, and a list of ints prints
+        # as json.dumps prints it, so this is json.dumps's text.
+        sep, text_of = ", ", lambda s, c: f'{{"size": {s}, "color": {c}}}, '
+        opening = f'}}], "d": {d}' + ', "word": "' * (fields > 1), '", "image": [' * (fields > 2)
+        top, end = ('{"parts": [', *opening, ""), ("}\n", '"}\n', "]}\n")[fields - 1]
     else:
-        sep, texts = ",", codec._Table(lambda s, c: f"{s}^{c},")
+        sep, text_of = ",", lambda s, c: f"{s}^{c},"
+        opening = ("", "") if fmt == "csv" else (" | " * (fields > 1), " | " * (fields > 2))
+        top, end = ("", *opening, ""), "\n"
     if kind:
         rules, m = closedform.FAMILIES[kind], d + 1
         cut, image = rules.cut, rules.image
         tails = codec._Table(
             lambda rest, last, c: sep.join(map(str, image(rest + words[last, c], m)))
         )
-    for head, last, colors in blocks:
-        left = "".join([texts[part] for part in head])
-        if fmt == "json":
-            left, right = f'{{"parts": [{left}{{"size": {last}, "color": ', f'}}], "d": {d}'
-        else:
-            left, right = f"{left}{last}^", ""
-        if words is None:
-            for c in colors:
-                row(f"{left}{c}{right}")
-            continue
-        prefix = "".join([words[part] + "1" for part in head])
+
+    # Each part's text and word with its separator, one string shared by every step.
+    pieces = codec._Table(lambda s, c: (text_of(s, c), words[s, c] + "1" if fields > 1 else ""))
+
+    def step(rest, size, color):
+        """(text, word and '1', image text, rest): what a part adds to a head with ``rest``."""
+        text, word = pieces[size, color]
         if not kind:
-            for c in colors:
-                row(f"{left}{c}{right}", prefix + words[last, c])
-            continue
-        # j is -1 where the prefix holds no cut letter (never for ''), and
-        # rest is then the whole prefix.
-        j = prefix.rfind(cut)
-        head_image = "".join([f"{p}{sep}" for p in image(prefix[:j], m)]) if j >= 0 else ""
-        rest = prefix[j + len(cut) :]
-        for c in colors:
-            row(f"{left}{c}{right}", prefix + words[last, c], head_image + tails[rest, last, c])
+            return text, word, "", rest
+        # j is -1 where the rest and word hold no cut letter (never for '').
+        # Equal rests and image texts are interned to one string each, which
+        # keeps the two tables they key or fill small.
+        word_rest = rest + word
+        j = word_rest.rfind(cut)
+        if j < 0:
+            return text, word, "", sys.intern(word_rest)
+        cut_image = "".join([f"{p}{sep}" for p in image(word_rest[:j], m)])
+        return text, word, sys.intern(cut_image), sys.intern(word_rest[j + len(cut) :])
+
+    steps = codec._Table(step)
+    stack = [top]  # (text, prefix, image text, rest) after each head part
+    with _Batch() as out:
+        add, writerow, batch = out.append, csv.writer(out).writerow, _BATCH_ROWS
+        for moved, head, last, colors in blocks:
+            del stack[moved + 1 :]
+            text, prefix, img, rest = stack[-1]
+            for size, color in head[moved:]:
+                t, w, im, rest = steps[rest, size, color]
+                text, prefix, img = text + t, prefix + w, img + im
+                stack.append((text, prefix, img, rest))
+            if fmt == "json":
+                left = f'{text}{{"size": {last}, "color": '
+            else:
+                left = f"{text}{last}^"
+            n = len(colors)
+            for chunk in (colors,) if n <= batch else (
+                colors[i : i + batch] for i in range(0, n, batch)
+            ):
+                if fmt != "csv":
+                    if fields == 3:
+                        for c in chunk:
+                            tail = tails[rest, last, c]
+                            add(f"{left}{c}{prefix}{words[last, c]}{img}{tail}{end}")
+                    elif fields == 2:
+                        for c in chunk:
+                            add(f"{left}{c}{prefix}{words[last, c]}{end}")
+                    else:
+                        for c in chunk:
+                            add(f"{left}{c}{prefix}{end}")
+                elif fields == 3:
+                    for c in chunk:
+                        tail = tails[rest, last, c]
+                        writerow((f"{left}{c}", prefix + words[last, c], img + tail))
+                elif fields == 2:
+                    for c in chunk:
+                        writerow((f"{left}{c}", prefix + words[last, c]))
+                else:
+                    for c in chunk:
+                        writerow((f"{left}{c}",))
+                if len(out) >= batch:
+                    out.flush()
 
 
 def _cmd_list(args):
@@ -177,15 +241,18 @@ def _cmd_list(args):
         _write_colored(args)
         return 0
     fmt = args.format
-    write, writerow = sys.stdout.write, csv.writer(sys.stdout).writerow
-    for parts in compgen.enum_family(Family(args.kind, args.m), args.n):
-        if fmt == "json":
-            # A list of ints prints as json.dumps prints it.
-            write(f'{{"parts": {list(parts)}}}\n')
-        elif fmt == "csv":
-            writerow((",".join(map(str, parts)),))
-        else:
-            write(",".join(map(str, parts)) + "\n")
+    with _Batch() as out:
+        writerow = csv.writer(out).writerow
+        for parts in compgen.enum_family(Family(args.kind, args.m), args.n):
+            if fmt == "json":
+                # A list of ints prints as json.dumps prints it.
+                out.append(f'{{"parts": {list(parts)}}}\n')
+            elif fmt == "csv":
+                writerow((",".join(map(str, parts)),))
+            else:
+                out.append(",".join(map(str, parts)) + "\n")
+            if len(out) >= _BATCH_ROWS:
+                out.flush()
     return 0
 
 
@@ -253,8 +320,16 @@ def build_parser():
     l_col.add_argument("--nu", type=int, required=True)
     l_col.add_argument("--d", type=int, required=True)
     l_col.add_argument("--k", type=int)
-    l_col.add_argument("--with-word", action="store_true")
-    l_col.add_argument("--map-to", choices=sorted(KINDS))
+    l_col.add_argument(
+        "--with-word", action="store_true", help="also write each row's binary codeword"
+    )
+    l_col.add_argument(
+        "--map-to",
+        choices=sorted(KINDS),
+        help="also write each row's codeword, with or without --with-word, and then its "
+        "image in this family: parts in {1, d+1} (ones), parts = 1 mod d+1 (mod) or "
+        "parts >= d+1 (ge)",
+    )
     l_col.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     l_fam = list_sub.add_parser("family")
     l_fam.add_argument("--kind", choices=sorted(KINDS), required=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .bell import require_prefix
 from .closedform import family_rules, num_colors
@@ -122,7 +123,7 @@ def enum_colored(nu, d, k=None):
     are the blocks of ``_blocks`` expanded, one row per last color.
     """
     d, blocks = _blocks(nu, d, k)
-    for head, last, colors in blocks:
+    for _, head, last, colors in blocks:
         for c in colors:
             yield ColoredComposition._trusted(d, (*head, (last, c)))
 
@@ -130,18 +131,18 @@ def enum_colored(nu, d, k=None):
 def _blocks(nu, d, k=None):
     """The checked d, and a stream of the blocks of enum_colored(nu, d, k) in order.
 
-    A block (head, last, colors) holds the rows that share every part but
-    the last: ``head`` is their (size, color) pairs, ``last`` the last
-    part's size and ``colors`` the ``range`` of its colors.  The arguments
-    are checked here, before the first block is asked for.
+    A block (moved, head, last, colors) holds the rows that share every
+    part but the last: ``head`` is their (size, color) pairs, ``last`` the
+    last part's size and ``colors`` the ``range`` of its colors.  ``moved``
+    is the leftmost position at which ``head`` differs from the previous
+    block's head: 0 at the first block of each size tuple, so ``head[:moved]``
+    is the previous head's too.  The arguments are checked here, before the
+    first block is asked for.
     """
     nu, d = checked(nu, "nu"), checked(d, "d")
     part_counts = range(1, nu + 1) if k is None else (checked(k, "k", 1, nu),)
-    return d, (
-        block
-        for kk in part_counts
-        for sizes in _size_tuples_desc(nu, kk)
-        for block in _colorings(sizes, d)
+    return d, chain.from_iterable(
+        _colorings(sizes, d) for kk in part_counts for sizes in _size_tuples_desc(nu, kk)
     )
 
 
@@ -149,27 +150,34 @@ def _colorings(sizes, d):
     """Every coloring of the part sizes ``sizes`` as blocks, the leftmost color most significant.
 
     An odometer over the colors of all parts but the last, stepped in one
-    list; each of its positions is one block, whose last part's colors
-    are a plain ``range``, the odometer's fastest digit (Knuth's mixed-radix
-    generation, TAOCP 4A, 7.2.1.1, Algorithm M).  No color range is ever
-    held in memory.  A part with more colors than a machine index counts
-    is refused: its rows could never all be listed.
+    list of (size, color) parts; each of its positions is one block, whose
+    last part's colors are a plain ``range``, the odometer's fastest digit
+    (Knuth's mixed-radix generation, TAOCP 4A, 7.2.1.1, Algorithm M).  The
+    digit a step increments is the block's ``moved`` position: the digits
+    right of it went back to color 1 and those left of it kept their
+    parts.  So a step makes one new part, and a block's head is a copy of
+    the list.  No color range is ever held in memory.  A part with more
+    colors than a machine index counts is refused: its rows could never
+    all be listed.
     """
     bounds = [num_colors(s, d) for s in sizes]
     if max(bounds) > sys.maxsize:
         raise OverflowError(f"a part of size {max(sizes)} has more than {sys.maxsize} colors")
     *head_sizes, last = sizes
-    colors = [1] * (len(sizes) - 1)
+    firsts = [(size, 1) for size in head_sizes]
+    head, rightmost = firsts.copy(), len(firsts) - 1
     last_colors = range(1, bounds[-1] + 1)
+    moved = 0
     while True:
-        yield tuple(zip(head_sizes, colors)), last, last_colors
-        i = len(colors) - 1
-        while i >= 0 and colors[i] == bounds[i]:
-            colors[i] = 1
-            i -= 1
-        if i < 0:
+        yield moved, tuple(head), last, last_colors
+        moved = rightmost
+        while moved >= 0 and head[moved][1] == bounds[moved]:
+            head[moved] = firsts[moved]
+            moved -= 1
+        if moved < 0:
             return
-        colors[i] += 1
+        size, color = head[moved]
+        head[moved] = (size, color + 1)
 
 
 def enum_family(family, n):

@@ -200,6 +200,11 @@ def colored_listings(nu, d, fmt):
         yield argv, with_word, kind, k
 
 
+# (nu, d) of the listing oracles: every form at d = 1, 2, and at (6, 3) heads
+# of up to five parts whose colors move at every position.
+COLORED_GRID = [*itertools.product(range(1, 6), (1, 2)), (6, 3)]
+
+
 class TestList:
     def test_colored_trivial(self, capsys):
         code, out, _ = run(capsys, "list", "colored", "--nu", "1", "--d", "1")
@@ -240,16 +245,14 @@ class TestList:
         assert rows[0] == ["2^1", "011"]
         assert len(rows) == 4
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu, d", COLORED_GRID)
     def test_colored_json_is_json_dumps(self, capsys, nu, d):
         for argv, with_word, kind, k in colored_listings(nu, d, "json"):
             code, out, _ = run(capsys, *argv)
             want = [json_row(alpha, with_word, kind) for alpha in colorcomp.enum_colored(nu, d, k)]
             assert (code, out.splitlines()) == (0, want), argv
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu, d", COLORED_GRID)
     def test_colored_plain_is_the_fields_joined(self, capsys, nu, d):
         for argv, with_word, kind, k in colored_listings(nu, d, "plain"):
             want = "".join(
@@ -258,8 +261,7 @@ class TestList:
             )
             assert run(capsys, *argv)[:2] == (0, want), argv
 
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("nu, d", COLORED_GRID)
     def test_colored_csv_is_csv_writer(self, capsys, nu, d):
         for argv, with_word, kind, k in colored_listings(nu, d, "csv"):
             want = io.StringIO()
@@ -281,6 +283,49 @@ class TestList:
         code, out, _ = run(capsys, "list", "colored", "--nu", "9", "--d", "3", "--map-to", "ge")
         assert (code, out.count("\n")) == (0, colorcomp.count_pd(9, 3))
         assert unranks[0] == comb(9 + 3, 3 + 1) == 495
+
+    def test_colored_images_its_heads_from_a_table(self, capsys, monkeypatch):
+        """The nu=9, d=3 ge listing calls the family's image once per distinct
+        (rest, part) head step and once per distinct row tail, not per block."""
+        calls = [0]
+        rules = FAMILIES["ge"]
+
+        def counted(beta, m):
+            calls[0] += 1
+            return rules.image(beta, m)
+
+        monkeypatch.setitem(FAMILIES, "ge", rules._replace(image=counted))
+        code, out, _ = run(capsys, "list", "colored", "--nu", "9", "--d", "3", "--map-to", "ge")
+        assert (code, out.count("\n")) == (0, colorcomp.count_pd(9, 3))
+        assert calls[0] < 4000
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_an_interrupt_keeps_the_rows_of_the_finished_blocks(self, capsys, monkeypatch, fmt):
+        """KeyboardInterrupt from the block stream: stdout holds every row of the
+        blocks before it, then ``error: interrupted`` and exit 1."""
+        argv = ["list", "colored", "--nu", "7", "--d", "2", "--map-to", "ge", "--format", fmt]
+        whole = run(capsys, *argv)[1]
+        blocks = cli.compgen._blocks
+        finished = []
+
+        def interrupted(*args):
+            d, stream = blocks(*args)
+
+            def cut_short():
+                for block in stream:
+                    if len(finished) == 5:
+                        raise KeyboardInterrupt
+                    finished.append(len(block[-1]))  # the block's colors
+                    yield block
+
+            return d, cut_short()
+
+        monkeypatch.setattr(cli.compgen, "_blocks", interrupted)
+        code, out, err = run(capsys, *argv)
+        rows = sum(finished)
+        assert len(finished) == 5 and rows > 5
+        assert (code, err) == (1, "error: interrupted\n")
+        assert out.splitlines(keepends=True) == whole.splitlines(keepends=True)[:rows]
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_benchmark_listing_images_are_image_of_word(self, capsys, kind):

@@ -4,6 +4,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorcomp import (
     AtLeastM,
@@ -103,10 +104,33 @@ class TestEnumColored:
                 for k in (None, *range(1, nu + 1)):
                     checked_d, blocks = _blocks(nu, d, k)
                     rows = []
-                    for head, last, colors in blocks:
+                    for _, head, last, colors in blocks:
                         assert colors == range(1, num_colors(last, d) + 1)
                         rows += [ColoredComposition(d, (*head, (last, c))) for c in colors]
                     assert (checked_d, rows) == (d, list(enum_colored(nu, d, k))), (nu, d, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_block_names_the_leftmost_head_part_that_moved(self, data):
+        """Within a size tuple, a block's head keeps the previous head's parts left of
+        ``moved`` and differs from it there; the first block of each size tuple has
+        ``moved`` 0.  Expanded, the blocks are still enum_colored's rows."""
+        d = data.draw(st.integers(1, 4), label="d")
+        nu = data.draw(st.integers(1, 7), label="nu")
+        # Every size tuple has at most 6 parts.
+        k = data.draw(st.sampled_from([None] * (nu <= 6) + list(range(1, min(nu, 6) + 1))))
+        _, blocks = _blocks(nu, d, k)
+        rows, previous = [], None
+        for moved, head, last, colors in blocks:
+            sizes = (*(s for s, _ in head), last)
+            if previous is None or sizes != previous[0]:
+                assert moved == 0, (sizes, head)
+            else:
+                assert head[:moved] == previous[1][:moved], (previous[1], head, moved)
+                assert head[moved] != previous[1][moved], (previous[1], head, moved)
+            previous = sizes, head
+            rows += [ColoredComposition(d, (*head, (last, c))) for c in colors]
+        assert rows == list(enum_colored(nu, d, k)), (nu, d, k)
 
     def test_first_row_holds_no_color_range(self):
         """A part of size 20 at d = 8 has 2 220 075 colors; the first row needs none of them."""
