@@ -14,8 +14,6 @@ All arithmetic is exact big-integer; every division in a recurrence is
 checked for zero remainder and raises :class:`InternalError` otherwise.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 from math import comb, factorial
 from operator import mul

@@ -9,10 +9,7 @@ a time, and recomputes what the other parts give a row only from the
 leftmost part that moved since the previous block.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import os
 import sys
 
@@ -195,7 +192,10 @@ def _write_colored(args):
     steps = codec._Table(step)
     stack = [top]  # (text, prefix, image text, rest) after each head part
     with _Batch() as out:
-        add, writerow, batch = out.append, csv.writer(out).writerow, _BATCH_ROWS
+        add, batch = out.append, _BATCH_ROWS
+        if fmt == "csv":
+            import csv  # here and in ``list family`` only: no other command writes csv
+            writerow = csv.writer(out).writerow
         for moved, head, last, colors in blocks:
             del stack[moved + 1 :]
             text, prefix, img, rest = stack[-1]
@@ -242,7 +242,9 @@ def _cmd_list(args):
         return 0
     fmt = args.format
     with _Batch() as out:
-        writerow = csv.writer(out).writerow
+        if fmt == "csv":
+            import csv
+            writerow = csv.writer(out).writerow
         for parts in compgen.enum_family(Family(args.kind, args.m), args.n):
             if fmt == "json":
                 # A list of ints prints as json.dumps prints it.

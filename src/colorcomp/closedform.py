@@ -19,13 +19,11 @@ paper-stated thresholds as well (confirmed against brute-force
 enumeration in the test suite).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import comb, prod
-from typing import Callable, NamedTuple
 
+from ._record import FrozenRecord
 from .errors import DomainError, InputError, InternalError, as_int, checked
 
 __all__ = [
@@ -40,19 +38,19 @@ __all__ = [
 ]
 
 
-class _Rules(NamedTuple):
-    """What one family kind is, written in its parameter m (m = d + 1 for the maps)."""
+_Rules = namedtuple("_Rules", "admits count shift size image word cut")
+_Rules.__doc__ = """What one family kind is, written in its parameter m (m = d + 1 for the maps).
 
-    admits: Callable[[int, int], bool]  # (part, m): the part rule, false for parts < 1
-    count: Callable[[int, int], int]  # (n, m): the closed-form sum for compositions of n
-    shift: Callable[[int], int]  # (m): the family's count at n is a_(n - shift) of 1/(1-x-x^m)
-    size: Callable[[int, int], int]  # (nu, m): the total of the image of a composition of nu
-    image: Callable[[str, int], tuple]  # (codeword, m) -> parts
-    word: Callable[[tuple, int], str]  # (parts, m) -> codeword, for parts that ``admits``
-    # The cut letter c: image(X + c + Y, m) == image(X, m) + image(Y, m) for any
-    # 0/1 strings X and Y, and word(P + Q, m) == word(P, m) + c + word(Q, m) for
-    # non-empty P and Q.  A listing splits its words there (``cli._write_colored``).
-    cut: str
+* ``admits(part, m)``: the part rule, false for parts < 1
+* ``count(n, m)``: the closed-form sum for compositions of n
+* ``shift(m)``: the family's count at n is a_(n - shift) of 1/(1-x-x^m)
+* ``size(nu, m)``: the total of the image of a composition of nu
+* ``image(codeword, m)``: the parts of the codeword's image
+* ``word(parts, m)``: the codeword of parts that ``admits``
+* ``cut``, the cut letter c: image(X + c + Y, m) == image(X, m) + image(Y, m) for any
+  0/1 strings X and Y, and word(P + Q, m) == word(P, m) + c + word(Q, m) for
+  non-empty P and Q.  A listing splits its words there (``cli._write_colored``).
+"""
 
 
 # The separators of the mod and ge codewords, each family's cut letter.
@@ -112,21 +110,19 @@ def family_rules(family):
     return FAMILIES[family.kind]
 
 
-@dataclass(frozen=True)
-class Family:
-    """A restricted-composition family: a kind in ``KINDS`` and m >= 2.
+class Family(FrozenRecord):
+    """A restricted-composition family: a kind in ``KINDS`` and an int m >= 2.
 
     * ``ones``: parts drawn from {1, m}
     * ``mod``:  every part congruent to 1 modulo m
     * ``ge``:   every part at least m
     """
 
-    kind: str
-    m: int
+    __match_args__ = ("kind", "m")
 
-    def __post_init__(self):
-        kind_rules(self.kind)
-        object.__setattr__(self, "m", checked(self.m, "m", 2))
+    def __init__(self, kind, m):
+        kind_rules(kind)
+        self.__dict__.update(kind=kind, m=checked(m, "m", 2))
 
     def admits(self, part):
         """Whether a part of the given size is allowed in this family: the row's part rule."""

@@ -15,8 +15,6 @@ word-level pair, ``image_of_word``/``word_of_image``, composed with the
 codec; both sides read their kind's row of ``closedform.FAMILIES``.
 """
 
-from __future__ import annotations
-
 from math import comb, prod
 from operator import index
 

@@ -6,12 +6,10 @@ documented per function; counting modules are validated against these
 streams in the test suite.
 """
 
-from __future__ import annotations
-
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
+from ._record import FrozenRecord
 from .bell import require_prefix
 from .closedform import family_rules, num_colors
 from .errors import InputError, as_int, checked
@@ -19,40 +17,38 @@ from .errors import InputError, as_int, checked
 __all__ = ["ColoredComposition", "enum_colored", "enum_family", "enum_weighted"]
 
 
-@dataclass(frozen=True)
-class ColoredComposition:
+class ColoredComposition(FrozenRecord):
     """An ordered list of (size, color) parts under the d-polytopic color bound.
 
-    Each part of size n carries a color in 1..C(n+d-1, d).
+    ``parts`` is a tuple of int pairs; a part of size n has a color in 1..C(n+d-1, d).
     """
 
-    d: int
-    parts: tuple
+    __match_args__ = ("d", "parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", checked(self.d, "d"))
-        if not self.parts:
+    def __init__(self, d, parts):
+        d = checked(d, "d")
+        if not parts:
             raise InputError("a composition needs at least one part")
         try:
-            parts = tuple(map(_int_pair, self.parts))
+            pairs = tuple(map(_int_pair, parts))
         except TypeError:
-            raise InputError(f"parts must be a sequence of pairs, got {self.parts!r}") from None
-        object.__setattr__(self, "parts", parts)
-        for size, color in self.parts:
+            raise InputError(f"parts must be a sequence of pairs, got {parts!r}") from None
+        for size, color in pairs:
             if size < 1:
                 raise InputError(f"part size must be >= 1, got {size}")
-            bound = num_colors(size, self.d)
+            bound = num_colors(size, d)
             if not 1 <= color <= bound:
                 raise InputError(
-                    f"color {color} out of range 1..{bound} for part size {size} (d={self.d})"
+                    f"color {color} out of range 1..{bound} for part size {size} (d={d})"
                 )
+        self.__dict__.update(d=d, parts=pairs)
 
     @classmethod
     def _trusted(cls, d, parts):
         """An instance from a tuple of int pairs already known to be valid.
 
-        Skips ``__post_init__``: only for callers whose parts are valid by
-        construction (enumeration over color ranges, decoding of ranks).
+        Skips the checks of ``__init__``: only for callers whose parts are valid
+        by construction (enumeration over color ranges, decoding of ranks).
         """
         self = object.__new__(cls)
         fields = self.__dict__

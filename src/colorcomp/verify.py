@@ -3,15 +3,12 @@ independent ways over a parameter grid, and disagreements are collected
 (with the first offending parameter tuple) instead of aborting the run.
 """
 
-from __future__ import annotations
-
-import json
 import os
 import time
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
+from ._record import Record
 from .closedform import FAMILIES, KINDS, Family
 from .errors import ColorCompError, checked
 
@@ -25,14 +22,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    grid: str
-    cells: int
-    failures: int = 0
-    counterexample: tuple | None = None
-    elapsed: float = 0.0
+class CheckResult(Record):
+    """One check over a grid: its cells, failures, first failing cell and time."""
+
+    __match_args__ = ("name", "grid", "cells", "failures", "counterexample", "elapsed")
+
+    def __init__(self, name, grid, cells, failures=0, counterexample=None, elapsed=0.0):
+        self.name, self.grid, self.cells = name, grid, cells
+        self.failures, self.counterexample, self.elapsed = failures, counterexample, elapsed
 
     @property
     def passed(self):
@@ -48,14 +45,15 @@ class CheckResult:
             self.counterexample = tuple(params)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """The results of one or more checks.  ``elapsed`` is the wall time the
     checks took; each check's own ``elapsed`` is the work it took, and on
     several CPUs the checks' times add up to more than the wall time."""
 
-    checks: list = field(default_factory=list)
-    elapsed: float = 0.0
+    __match_args__ = ("checks", "elapsed")
+
+    def __init__(self, checks=None, elapsed=0.0):
+        self.checks, self.elapsed = [] if checks is None else checks, elapsed
 
     @property
     def ok(self):
@@ -87,7 +85,9 @@ class CheckReport:
 
     def to_json(self, grid=None):
         """The report as JSON; ``meta`` names the package and Python versions and ``grid``."""
-        import platform  # here, not at the top: it would add to every import of the package
+        # Here, not at the top: they would add to every import of the package.
+        import json
+        import platform
 
         from . import __version__  # the package has finished importing once a report exists
 
