@@ -124,31 +124,33 @@ def _write_colored(args):
     The rows of a block share every part but the last, its head.  What the
     head gives a row is kept on a stack, one entry per head part: the
     head's text so far; its words so far, each followed by its separating
-    '1' (the ``prefix``); with ``--map-to`` the formatted image of the
-    prefix up to its last cut letter, and the ``rest`` of the prefix after
-    that letter.  A block drops the entries from the leftmost head part
-    that moved since the previous block and pushes them anew, each one
-    step from the entry below it.  A row adds its last part, that part's
-    word from the table of part words, and the image of the rest and that
-    word.
+    '1' (the ``prefix``); the formatted image of the prefix up to its last
+    cut letter, and the ``rest`` of the prefix after that letter.  A block
+    drops the entries from the leftmost head part that moved since the
+    previous block and pushes them anew, each one step from the entry
+    below it.
 
     The cut letter of a family has image(X + cut + Y) == image(X) +
     image(Y), so a part appended to a head changes its image and rest only
-    as ``(rest, part)`` says.  That step is a table, and so is the image of
-    (rest, last size, last color) that ends a row: no block or row calls
-    the family's ``image`` on its head, or ``codec.image_of_word``.  The
-    identity is a property test in ``tests/test_closedform.py``, and the
-    rows of the benchmark's listing are held to ``image_of_word`` by
-    ``tests/test_cli.py``.
+    as ``(rest, part)`` says: that step is a table.  A row ends with its
+    last part's word, the image of the rest and that word, and a line end;
+    ``ends[rest, last]``, read once per block, is the table of those row
+    ends by the last color.  No block or row calls the family's ``image``
+    on its head, or ``codec.image_of_word``.  The identity is a property
+    test in ``tests/test_closedform.py``, and ``tests/test_cli.py`` holds
+    the benchmark's rows to ``image_of_word``.  Without ``--map-to`` the
+    rows read a null family, whose cut letter is '' and whose images are
+    empty, so every form takes the same steps and row ends.
 
     A json or plain row is one text: the head's and last part's text up to
-    the color, the color, the prefix, the last part's word, the head's
-    image, the rest of the image and an end.  The stack's first entry
-    holds the separators that open the word and the image, so a field the
-    row lacks is empty, separators and all.  A csv row is its fields
-    through ``csv.writer``.  Rows go out through a ``_Batch``.  A block's
-    colors stay a range, cut into slices of ``_BATCH_ROWS`` where longer,
-    so its first rows go out before the last are made.
+    the color, the color, the prefix and the row end.  The stack's first
+    entry holds the separators that open the word and the image, so a
+    field the row lacks is empty, separators and all.  A csv row is its
+    fields through ``csv.writer``, which ends the row itself.  Four loops
+    write the rows, (json or plain, csv) by (no word, word), so a row
+    without a word reads no row end.  Rows go out through a ``_Batch``.  A
+    block's colors stay a range, cut into slices of ``_BATCH_ROWS`` where
+    longer, so its first rows go out before the last are made.
     """
     fmt, kind = args.format, args.map_to
     d, blocks = compgen._blocks(args.nu, args.d, args.k)
@@ -163,22 +165,13 @@ def _write_colored(args):
     else:
         sep, text_of = ",", lambda s, c: f"{s}^{c},"
         opening = ("", "") if fmt == "csv" else (" | " * (fields > 1), " | " * (fields > 2))
-        top, end = ("", *opening, ""), "\n"
-    if kind:
-        rules, m = closedform.FAMILIES[kind], d + 1
-        cut, image = rules.cut, rules.image
-        tails = codec._Table(
-            lambda rest, last, c: sep.join(map(str, image(rest + words[last, c], m)))
-        )
-
-    # Each part's text and word with its separator, one string shared by every step.
-    pieces = codec._Table(lambda s, c: (text_of(s, c), words[s, c] + "1" if fields > 1 else ""))
+        top, end = ("", *opening, ""), "\n" * (fmt != "csv")  # csv.writer ends its rows
+    rules, m = closedform.FAMILIES.get(kind), d + 1
+    cut, image = (rules.cut, rules.image) if rules else ("", lambda beta, m: ())
 
     def step(rest, size, color):
         """(text, word and '1', image text, rest): what a part adds to a head with ``rest``."""
-        text, word = pieces[size, color]
-        if not kind:
-            return text, word, "", rest
+        text, word = text_of(size, color), (words[size, color] + "1" if fields > 1 else "")
         # j is -1 where the rest and word hold no cut letter (never for '').
         # Equal rests and image texts are interned to one string each, which
         # keeps the two tables they key or fill small.
@@ -189,7 +182,13 @@ def _write_colored(args):
         cut_image = "".join([f"{p}{sep}" for p in image(word_rest[:j], m)])
         return text, word, sys.intern(cut_image), sys.intern(word_rest[j + len(cut) :])
 
+    def row_end(rest, last, c):
+        """(word, image text and line end): what a last part adds to a head with ``rest``."""
+        word = words[last, c]
+        return word, sep.join(map(str, image(rest + word, m))) + end
+
     steps = codec._Table(step)
+    ends = codec._Table(lambda rest, last: codec._Table(lambda c: row_end(rest, last, c)))
     stack = [top]  # (text, prefix, image text, rest) after each head part
     with _Batch() as out:
         add, batch = out.append, _BATCH_ROWS
@@ -203,35 +202,27 @@ def _write_colored(args):
                 t, w, im, rest = steps[rest, size, color]
                 text, prefix, img = text + t, prefix + w, img + im
                 stack.append((text, prefix, img, rest))
-            if fmt == "json":
-                left = f'{text}{{"size": {last}, "color": '
-            else:
-                left = f"{text}{last}^"
+            left = f'{text}{{"size": {last}, "color": ' if fmt == "json" else f"{text}{last}^"
+            row_ends = ends[rest, last]
             n = len(colors)
             for chunk in (colors,) if n <= batch else (
                 colors[i : i + batch] for i in range(0, n, batch)
             ):
                 if fmt != "csv":
-                    if fields == 3:
-                        for c in chunk:
-                            tail = tails[rest, last, c]
-                            add(f"{left}{c}{prefix}{words[last, c]}{img}{tail}{end}")
-                    elif fields == 2:
-                        for c in chunk:
-                            add(f"{left}{c}{prefix}{words[last, c]}{end}")
-                    else:
+                    if fields == 1:
                         for c in chunk:
                             add(f"{left}{c}{prefix}{end}")
-                elif fields == 3:
-                    for c in chunk:
-                        tail = tails[rest, last, c]
-                        writerow((f"{left}{c}", prefix + words[last, c], img + tail))
-                elif fields == 2:
-                    for c in chunk:
-                        writerow((f"{left}{c}", prefix + words[last, c]))
-                else:
+                    else:
+                        for c in chunk:
+                            w, tail = row_ends[c]
+                            add(f"{left}{c}{prefix}{w}{img}{tail}")
+                elif fields == 1:
                     for c in chunk:
                         writerow((f"{left}{c}",))
+                else:
+                    for c in chunk:
+                        w, tail = row_ends[c]
+                        writerow((f"{left}{c}", prefix + w, img + tail)[:fields])
                 if len(out) >= batch:
                     out.flush()
 

@@ -161,15 +161,15 @@ def to_binary(alpha):
 
 
 class _Table(dict):
-    """A dict that fills a missing key with ``make(*key)``, so it never holds
-    more entries than it has been asked for."""
+    """A dict that fills a missing key with ``make(*key)``, or ``make(key)`` where
+    the key is not a tuple, so it never holds more entries than it has been asked for."""
 
     def __init__(self, make):
         super().__init__()
         self.make = make
 
     def __missing__(self, key):
-        value = self[key] = self.make(*key)
+        value = self[key] = self.make(*key) if type(key) is tuple else self.make(key)
         return value
 
 

@@ -200,9 +200,11 @@ def colored_listings(nu, d, fmt):
         yield argv, with_word, kind, k
 
 
-# (nu, d) of the listing oracles: every form at d = 1, 2, and at (6, 3) heads
-# of up to five parts whose colors move at every position.
-COLORED_GRID = [*itertools.product(range(1, 6), (1, 2)), (6, 3)]
+# (nu, d) of the listing oracles: every form at d = 1, 2; at (6, 3) heads
+# of up to five parts whose colors move at every position; and at (4, 10)
+# blocks longer than a batch, cut into slices: a one-part block of 286
+# colors, and two-part blocks of 66 colors under a head.
+COLORED_GRID = [*itertools.product(range(1, 6), (1, 2)), (6, 3), (4, 10)]
 
 
 class TestList:

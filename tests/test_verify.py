@@ -84,6 +84,18 @@ def short_colored_stream(monkeypatch):
     monkeypatch.setattr(compgen, "enum_colored", short)
 
 
+def word_with_an_extra_one(monkeypatch):
+    """Make codec.enum_words give 2^1,1^1 at d = 2 the word 0111111, one '1'
+    too many for a codeword at d = 2: from_binary and image_of_word refuse it."""
+    enum = codec.enum_words
+
+    def extra(nu, d, k=None):
+        for alpha, beta in enum(nu, d, k):
+            yield alpha, beta + "1" if (d, str(alpha)) == (2, "2^1,1^1") else beta
+
+    monkeypatch.setattr(codec, "enum_words", extra)
+
+
 def one_worker(monkeypatch):
     """Run check_bijections' cells in this process, where counters and traces see them."""
     monkeypatch.setattr(verify, "_workers", lambda cells: 1)
@@ -456,6 +468,26 @@ def test_verify_walks_each_stream_once(monkeypatch, capsys):
     assert calls == {"enum_colored": 0, "enum_family": 0}
     assert cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 0
     assert calls == {"enum_colored": 21, "enum_family": 24}
+
+
+# A row whose word is no codeword fails the checks that read it, on one
+# worker and on the pool alike, instead of aborting the run.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_word_that_is_no_codeword_fails_its_checks(monkeypatch, capsys, workers):
+    word_with_an_extra_one(monkeypatch)
+    monkeypatch.setattr(verify, "_workers", lambda cells: workers)
+    assert cli.main(["verify", "--nu-max", "4", "--d-max", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    failed = [line.split(" (")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] golden 13-row correspondence",
+        "[FAIL] binary codec round trip and image",
+        "[FAIL] family map images equal enumerations",
+    ]
+    assert "-- 1 failures, first at (7, " in out
+    assert "-- 1 failures, first at (3, 2, 2)\n" in out
+    assert "-- 1 failures, first at (3, 2)\n" in out
 
 
 _bijection_cell = verify._bijection_cell
