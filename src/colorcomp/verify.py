@@ -5,6 +5,7 @@ independent ways over a parameter grid, and disagreements are collected
 
 import os
 import time
+from itertools import chain, islice, repeat
 from math import comb, factorial
 
 from . import bell, closedform, codec, compgen
@@ -238,18 +239,22 @@ def check_bijections(nu_max, d_max):
     work it took; the report's time is the wall time of the whole suite.
 
     Each grid point is enumerated once, part count by part count, with
-    the words of ``enum_words``, the public row encoder; each row's word
-    must also equal ``to_binary`` of the row, so the two encoders check
-    each other.  The part count's words are kept in one list, and the three
-    family images come from them; the clock laps once per part count
-    for the codec check and once for the image check.  A family inverse is
-    ``from_binary`` after ``word_of_image``, so checking
-    ``word_of_image(image) == beta`` next to ``from_binary(beta) == alpha``
-    checks every inverse map.
+    the words of ``enum_words``, the public row encoder.  Each part count's
+    rows are checked in chunks of at most ``_CHUNK`` rows, in list passes:
+    one call of each codec list kernel (``_decode``, ``_encode``,
+    ``_images``, ``_words``) per chunk, which the public codec functions
+    call with one item.  Each chunk's words must also equal ``_encode`` of
+    its rows, so the two encoders check each other.  The part count's words
+    are kept in one list for the distinctness count; each chunk's family
+    images come from its words and live only while their kind is checked.
+    The clock laps once per chunk for the codec check and once for the
+    image check.  A family inverse is ``from_binary`` after
+    ``word_of_image``, so checking ``_words(images) == words`` next to
+    ``_decode(words) == rows`` checks every inverse map.
 
     The image check needs, for every row and kind: the row decodes from
     its word; the image has the family's total and only parts that
-    ``Family.admits``; and ``word_of_image(image) == beta``.  The words of
+    ``Family.admits``; and it maps back to the row's word.  The words of
     one part count are distinct, and those of different part counts differ
     in length.  So each image lies in the family, distinct rows have
     distinct images, and there are as many images as rows.  One walk of
@@ -273,6 +278,12 @@ def check_bijections(nu_max, d_max):
             if total.counterexample is None:
                 total.counterexample = part.counterexample
     return clock.report([enum_eq, *phi.checks, codec_check, images])
+
+
+# The most rows of one part count that a cell holds in its list passes at
+# once.  Chunks of 256 to 1024 rows check the default grid equally fast;
+# past 512 rows the largest worker's peak memory grows by over 10%.
+_CHUNK = 512
 
 
 def _workers(cells):
@@ -327,7 +338,16 @@ def _map_cells(cells):
 
 def _bijection_cell(nu, d):
     """The enumeration-size, codec and image results of ``check_bijections``
-    at grid point (nu, d) alone."""
+    at grid point (nu, d) alone.
+
+    Each part count's rows are read in chunks of at most ``_CHUNK`` rows,
+    and each chunk is checked in list passes, one codec list kernel call
+    at a time.  A word that a kernel refuses makes its chunk's call raise,
+    which fails the word's part count for the codec check and the grid
+    point for the image check.  The clock laps once per chunk for the
+    codec check and once for the image check, and once more per part count
+    for the distinctness count.
+    """
     enum_eq = CheckResult("closed forms vs enumeration size", "", 1)
     codec_check = CheckResult("binary codec round trip and image", "", 0)
     images = CheckResult("family map images equal enumerations", "", 1)
@@ -340,34 +360,36 @@ def _bijection_cell(nu, d):
         codec_check.cells += 1
         length, ones = nu + d * k - 1, (d + 1) * k - 1
         words, ok = [], True
-        for alpha, beta in codec.enum_words(nu, d, k):
+        stream = codec.enum_words(nu, d, k)
+        while chunk := list(islice(stream, _CHUNK)):
+            alphas, betas = map(list, zip(*chunk))
             try:
-                decoded = codec.from_binary(beta, d) == alpha
-            except ColorCompError:  # beta is no codeword at this d
+                decoded = codec._decode(betas, d) == alphas
+            except ColorCompError:  # a word of the chunk is no codeword at this d
                 decoded = False
-            ok = ok and decoded and codec.to_binary(alpha) == beta
-            ok = ok and (len(beta), beta.count("1")) == (length, ones)
+            ok = (
+                ok
+                and decoded
+                and codec._encode(alphas) == betas
+                and set(map(len, betas)) == {length}
+                and set(map(str.count, betas, repeat("1"))) == {ones}
+            )
             images_ok = images_ok and decoded
-            words.append(beta)
+            words += betas
+            del chunk, alphas  # the image passes read only the words
+            clock.lap(codec_check)
+            for f, n, admitted in families:
+                try:
+                    images_ok = images_ok and _maps_back(f.kind, n, admitted, betas, d)
+                except ColorCompError:  # a word or image the maps refuse
+                    images_ok = False
+            clock.lap(images)
         distinct = len(set(words))
         if not ok or distinct != closedform.count_pd_k(nu, d, k):
             codec_check.record((nu, d, k))
-        clock.lap(codec_check)
         images_ok = images_ok and distinct == len(words)
         rows += len(words)
-        for f, n, parts in families:
-            try:
-                for beta in words:
-                    image = codec.image_of_word(f.kind, beta, d)
-                    if not (
-                        sum(image) == n
-                        and parts.issuperset(image)
-                        and codec.word_of_image(f.kind, image, d) == beta
-                    ):
-                        images_ok = False
-            except ColorCompError:  # a word or image the maps refuse
-                images_ok = False
-        clock.lap(images)
+        clock.lap(codec_check)
     counts = [_ascending_count(compgen.enum_family(f, n)) for f, n, _ in families]
     if rows != closedform.count_pd(nu, d) or counts != [
         closedform.count_family(f, n) for f, n, _ in families
@@ -378,6 +400,17 @@ def _bijection_cell(nu, d):
         images.record((nu, d))
     clock.lap(images)
     return enum_eq, codec_check, images
+
+
+def _maps_back(kind, n, admitted, words, d):
+    """Whether the ``kind`` images of ``words`` total n, have only ``admitted``
+    parts and map back to ``words``.  The images live only in this call."""
+    images = codec._images(kind, words, d)
+    return (
+        set(map(sum, images)) == {n}
+        and admitted.issuperset(chain.from_iterable(images))
+        and codec._words(kind, images, d) == words
+    )
 
 
 # Golden correspondence for nu = 3, d = 2, transcribed row by row:

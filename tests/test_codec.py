@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorcomp import (
     ColoredComposition,
+    codec,
     ColorCompError,
     DomainError,
     InputError,
@@ -64,6 +65,19 @@ class TestUnrank:
     def test_number_system_example(self):
         # 23 = C(6,3) + C(3,2) + C(0,1), so rank 24 decodes to 01001001
         assert unrank_word(24, 8, 3) == "01001001"
+
+    def test_every_rank_against_the_binomial_sum(self):
+        """Every rank at every n <= 12 and d <= n, the ones that stop once the
+        remainder is spent included: the word of n letters and d ones that
+        colex_rank ranks there."""
+        mismatches = [
+            (m, n, d, word)
+            for n in range(1, 13)
+            for d in range(1, n + 1)
+            for m in range(1, comb(n, d) + 1)
+            if (len(word := unrank_word(m, n, d)), word.count("1"), colex_rank(word)) != (n, d, m)
+        ]
+        assert mismatches == []
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -397,3 +411,142 @@ class TestFamilyMaps:
             assert seen_ones == set(enum_family(OnesAndM(m), m * nu - 1))
             assert seen_mod == set(enum_family(OneModM(m), m * nu))
             assert seen_ge == set(enum_family(AtLeastM(m), m * nu + d))
+
+
+@st.composite
+def compositions(draw, d):
+    """A colored composition at d of up to 4 parts of size up to 5."""
+    size_and_color = st.integers(1, 5).flatmap(
+        lambda size: st.tuples(st.just(size), st.integers(1, comb(size + d - 1, d)))
+    )
+    return ColoredComposition(d, tuple(draw(st.lists(size_and_color, min_size=1, max_size=4))))
+
+
+class Word(str):
+    """A str of another type, which the kernels' one-pass type check leaves to isinstance."""
+
+
+class Index:
+    """An integer-like part that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def one_and_many(kind, d):
+    """Each public codec function of one item, and its list kernel, at kind and d."""
+    return {
+        "encode": (to_binary, codec._encode),
+        "decode": (lambda word: from_binary(word, d), lambda words: codec._decode(words, d)),
+        "images": (
+            lambda word: image_of_word(kind, word, d),
+            lambda words: codec._images(kind, words, d),
+        ),
+        "words": (
+            lambda parts: word_of_image(kind, parts, d),
+            lambda images: codec._words(kind, images, d),
+        ),
+    }
+
+
+# Items that each kernel leaves to its slow path: most are refused, some
+# are of a type its one-pass checks do not read.  In a set of up to four
+# ints, -6 comes before 2 (both hash to slot 2 of 8); in a set grown past
+# that, 2 comes first.
+FIRST_ITEMS = {
+    "encode": ["11", None, 5, (2, 1)],
+    "decode": [None, 5, "102", "10", "1 1", Word("0101")],
+    "images": [None, 7, "102", "10", "11\n", Word("0101")],
+    "words": [
+        None, 5, (), [], ("3", 3), (2.0, 3), (True, 3), (2, 3), (2, 1), (1, 4), (3,), (3, 3, 5),
+        [3, 3, 5], (Index(3), 3, 5), (3, 4, 4), (-6, 2),
+    ],
+}
+
+
+def assert_as_one_by_one(one, many, items):
+    """``many(items)`` is ``one`` of each item, or raises what ``one`` of the
+    first item raises, with the same class and message."""
+    try:
+        want = one(items[0])
+    except ColorCompError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            many(items)
+    else:
+        assert many(items) == [want, *map(one, items[1:])]
+
+
+class TestListKernels:
+    """Each public codec function is its list kernel called with one item."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_each_function_is_its_kernel_item_by_item(self, data):
+        d = data.draw(st.integers(1, 4))
+        kind = data.draw(st.sampled_from(KINDS))
+        alphas = data.draw(st.lists(compositions(d), min_size=1, max_size=8))
+        words = [to_binary(alpha) for alpha in alphas]
+        items = {
+            "encode": data.draw(st.lists(st.integers(1, 4).flatmap(compositions), max_size=8)),
+            "decode": words,
+            "images": words,
+            "words": [image_of_word(kind, word, d) for word in words],
+        }
+        for name, (one, many) in one_and_many(kind, d).items():
+            assert many(items[name]) == [one(item) for item in items[name]], name
+        assert codec._decode(words, d) == alphas
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_a_list_fails_as_its_first_item(self, data):
+        d = data.draw(st.integers(1, 4))
+        kind = data.draw(st.sampled_from(KINDS))
+        alphas = data.draw(st.lists(compositions(d), max_size=4))
+        words = [to_binary(alpha) for alpha in alphas]
+        rest = {
+            "encode": alphas,
+            "decode": words,
+            "images": words,
+            "words": [image_of_word(kind, word, d) for word in words],
+        }
+        name = data.draw(st.sampled_from(sorted(FIRST_ITEMS)))
+        first = data.draw(st.sampled_from(FIRST_ITEMS[name]))
+        one, many = one_and_many(kind, d)[name]
+        assert_as_one_by_one(one, many, [first, *rest[name]])
+
+    @pytest.mark.parametrize("kind, d", [("xx", 2), ("ge", 0), ("ge", 2.0), ("mod", True), ("xx", 0)])
+    def test_a_bad_kind_or_d_fails_as_for_one_item(self, kind, d):
+        items = {"decode": ["0101", "0011"], "images": ["0101", "0011"], "words": [(3, 4, 4), (4, 3, 4)]}
+        for name, (one, many) in one_and_many(kind, d).items():
+            if name in items:
+                assert_as_one_by_one(one, many, items[name])
+
+    # Where an input breaks several rules, the first check in the order the
+    # public functions have always used names it.
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: from_binary(None, 0), InputError, "binary word must be a str, got None"),
+            (lambda: from_binary("102", 0), DomainError, "d must be >= 1, got 0"),
+            (lambda: image_of_word("xx", None, 0), DomainError, "unknown family kind 'xx'"),
+            (lambda: image_of_word("ge", None, 0), InputError, "binary word must be a str, got None"),
+            (lambda: image_of_word("ge", "102", 0), DomainError, "d must be >= 1, got 0"),
+            (lambda: word_of_image("xx", None, 0), DomainError, "unknown family kind 'xx'"),
+            (lambda: word_of_image("ge", None, 0), DomainError, "d must be >= 1, got 0"),
+            (lambda: word_of_image("ge", (2.0, 2), 2), InputError, "part must be an integer, got 2.0"),
+            (lambda: word_of_image("ge", (-6, 2), 2), InputError, "part -6 is not in the ge family for d=2"),
+            # The kernel asks admits of the set of all parts, where 2 comes
+            # before -6, but names what the first refused image would.
+            (
+                lambda: codec._words("ge", [(-6, 2), (3, 4, 5, 6)], 2),
+                InputError,
+                "part -6 is not in the ge family for d=2",
+            ),
+        ],
+    )
+    def test_the_first_check_names_the_input(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -31,16 +31,17 @@ from colorcomp.verify import CheckReport, CheckResult
 
 
 def count_encodes(monkeypatch):
-    """Wrap codec.to_binary with a call counter; returns the counter."""
-    calls = [0]
-    encode = codec.to_binary
+    """Wrap codec._encode, which to_binary calls too, with a counter of the
+    rows it encodes; returns the counter."""
+    rows = [0]
+    encode = codec._encode
 
-    def counted(alpha):
-        calls[0] += 1
-        return encode(alpha)
+    def counted(alphas):
+        rows[0] += len(alphas)
+        return encode(alphas)
 
-    monkeypatch.setattr(codec, "to_binary", counted)
-    return calls
+    monkeypatch.setattr(codec, "_encode", counted)
+    return rows
 
 
 # Wrong enum_family streams, each applied to every (family, n), with the
@@ -64,13 +65,16 @@ def wrong_stream(monkeypatch, mutate):
 
 
 def wrong_to_binary(monkeypatch):
-    """Make codec.to_binary give 3^2 at d = 2 the word of 3^1."""
-    encode = codec.to_binary
+    """Make codec._encode, and so to_binary, give 3^2 at d = 2 the word of 3^1."""
+    encode = codec._encode
 
-    def wrong(alpha):
-        return "0011" if (alpha.d, str(alpha)) == (2, "3^2") else encode(alpha)
+    def wrong(alphas):
+        return [
+            "0011" if (alpha.d, str(alpha)) == (2, "3^2") else word
+            for alpha, word in zip(alphas, encode(alphas))
+        ]
 
-    monkeypatch.setattr(codec, "to_binary", wrong)
+    monkeypatch.setattr(codec, "_encode", wrong)
 
 
 def short_colored_stream(monkeypatch):
@@ -94,6 +98,25 @@ def word_with_an_extra_one(monkeypatch):
             yield alpha, beta + "1" if (d, str(alpha)) == (2, "2^1,1^1") else beta
 
     monkeypatch.setattr(codec, "enum_words", extra)
+
+
+# The mutations under which the checks must not depend on how the cells run.
+MUTATIONS = {
+    "clean": None,
+    "wrong-to-binary": wrong_to_binary,
+    "short-colored-stream": short_colored_stream,
+    "short-family-stream": lambda monkeypatch: wrong_stream(
+        monkeypatch, WRONG_STREAMS["last-row-dropped"][0]
+    ),
+}
+
+
+def bijection_checks():
+    """(name, grid, cells, failures, counterexample) of each check of check_bijections(6, 3)."""
+    return [
+        (c.name, c.grid, c.cells, c.failures, c.counterexample)
+        for c in check_bijections(6, 3).checks
+    ]
 
 
 def one_worker(monkeypatch):
@@ -187,17 +210,17 @@ class TestCheckBijections:
     # part rule.
     @pytest.mark.parametrize("kind, extra", [("ge", lambda m: m), ("mod", lambda m: 0)])
     def test_image_check_catches_images_outside_the_family(self, monkeypatch, kind, extra):
-        image_of_word, word_of_image = codec.image_of_word, codec.word_of_image
+        images_of, words_of = codec._images, codec._words
 
-        def wrong_image(k, beta, d):
-            image = image_of_word(k, beta, d)
-            return image + (extra(d + 1),) if k == kind else image
+        def wrong_images(k, words, d):
+            images = images_of(k, words, d)
+            return [image + (extra(d + 1),) for image in images] if k == kind else images
 
-        def wrong_word(k, parts, d):
-            return word_of_image(k, parts[:-1] if k == kind else parts, d)
+        def wrong_words(k, images, d):
+            return words_of(k, [parts[:-1] for parts in images] if k == kind else images, d)
 
-        monkeypatch.setattr(codec, "image_of_word", wrong_image)
-        monkeypatch.setattr(codec, "word_of_image", wrong_word)
+        monkeypatch.setattr(codec, "_images", wrong_images)
+        monkeypatch.setattr(codec, "_words", wrong_words)
         assert codec.word_of_image(kind, codec.image_of_word(kind, "0101", 2), 2) == "0101"
         self.image_check(10, (1, 1))
 
@@ -226,12 +249,12 @@ class TestCheckBijections:
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
     def test_image_check_catches_two_rows_with_one_image(self, monkeypatch):
-        image_of_word = codec.image_of_word
+        images_of = codec._images
 
-        def merged(kind, beta, d):  # 0101 and 0011 encode 3^2 and 3^1 at d = 2
-            return image_of_word(kind, "0011" if beta == "0101" else beta, d)
+        def merged(kind, words, d):  # 0101 and 0011 encode 3^2 and 3^1 at d = 2
+            return images_of(kind, ["0011" if beta == "0101" else beta for beta in words], d)
 
-        monkeypatch.setattr(codec, "image_of_word", merged)
+        monkeypatch.setattr(codec, "_images", merged)
         self.image_check(1, (3, 2))
 
     # The image check counts one image per row, so it needs the rows, and
@@ -252,7 +275,8 @@ class TestCheckBijections:
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
     # verify takes each row's word from enum_words, the public row encoder,
-    # and checks it against to_binary as well as by decoding it.
+    # and checks it against codec._encode, to_binary's kernel, as well as by
+    # decoding it.
     def test_codec_check_catches_swapped_words(self, monkeypatch):
         enum = codec.enum_words
 
@@ -276,16 +300,18 @@ class TestCheckBijections:
         assert images.passed
 
     def test_image_check_catches_a_word_that_decodes_to_another_row(self, monkeypatch):
-        decode = codec.from_binary
+        decode = codec._decode
         monkeypatch.setattr(
-            codec, "from_binary", lambda beta, d: decode("0011" if beta == "0101" else beta, d)
+            codec,
+            "_decode",
+            lambda words, d: decode(["0011" if beta == "0101" else beta for beta in words], d),
         )
         codec_check, images = check_bijections(5, 2).checks[-2:]
         assert (codec_check.failures, codec_check.counterexample) == (1, (3, 2, 1))
         assert (images.failures, images.counterexample) == (1, (3, 2))
 
-    # Holding three sets of every image of a grid point peaks at 2.35 MB
-    # here; holding one part count's words peaks at 1.40 MB.  A full
+    # Holding three sets of every image of a grid point peaks at 2.19 MB
+    # here; holding one part count's words peaks at 1.17 MB.  A full
     # collection first empties the interpreter's free lists: objects reused
     # from them were allocated before tracing began and would not count.
     def test_holds_no_image_set(self, monkeypatch):
@@ -309,30 +335,46 @@ class TestCheckBijections:
     # a mutation made before the pool starts.  A family stream one row
     # short fails ten cells, so it tells the first counterexample from the
     # last.
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            None,
-            wrong_to_binary,
-            short_colored_stream,
-            lambda monkeypatch: wrong_stream(monkeypatch, WRONG_STREAMS["last-row-dropped"][0]),
-        ],
-        ids=["clean", "wrong-to-binary", "short-colored-stream", "short-family-stream"],
-    )
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
     def test_checks_do_not_depend_on_the_workers(self, monkeypatch, mutate):
         if mutate:
             mutate(monkeypatch)
 
         def checks(workers):
             monkeypatch.setattr(verify, "_workers", lambda cells: workers)
-            return [
-                (c.name, c.grid, c.cells, c.failures, c.counterexample)
-                for c in check_bijections(6, 3).checks
-            ]
+            return bijection_checks()
 
         alone = checks(1)
         assert all(failures == 0 for *_, failures, _ in alone) == (mutate is None)
         assert checks(2) == alone
+
+    # Small chunks split most part counts of the grid into many chunks, each
+    # checked on its own; the checks are those of whole part counts.  In
+    # chunks of 2, the wrong word of 3^2 fails the first chunk of its part
+    # count and not the later ones.
+    @pytest.mark.parametrize("chunk", [7, 2])
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+    def test_checks_do_not_depend_on_the_chunks(self, monkeypatch, mutate, chunk):
+        if mutate:
+            mutate(monkeypatch)
+        one_worker(monkeypatch)
+        whole = bijection_checks()
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        assert bijection_checks() == whole
+
+    # A cell holds one part count's words and one chunk's rows and images.
+    # Its largest part count has 11 628 rows; held in one chunk, they peak
+    # at 9.6 MB here, and chunks of 512 rows peak at 2.30 MB.
+    def test_a_cell_holds_one_chunk(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            enum_eq, codec_check, images = verify._bijection_cell(8, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert enum_eq.passed and codec_check.passed and images.passed
+        assert peak < 3e6
 
 
 @pytest.mark.parametrize(
